@@ -30,6 +30,7 @@ from .spectrum import (
 from .torus import (
     PointSU,
     PointXY,
+    SearchBoundError,
     euclidean_min_qpoint,
     kpoint_collapse_order,
     orbit,
@@ -52,6 +53,7 @@ __all__ = [
     "PointSU",
     "PointXY",
     "QElem",
+    "SearchBoundError",
     "SpectrumSample",
     "Subshift",
     "SymbolicPoint",

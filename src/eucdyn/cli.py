@@ -2,7 +2,8 @@
 
 Thresholds and grids are rational end to end (``p/q`` or exact decimal
 strings), so reruns of the same configuration produce byte-identical
-CSV.  Exit codes: 0 success, 2 configuration error, 3 mathematical
+CSV.  Exit codes: 0 success, 2 configuration error (including an
+``--m1-bound`` too small to certify an M(P) search), 3 mathematical
 verification failure, 4 I/O failure.  EUCDYN_THREADS bounds the worker
 pool for the grid map.
 """
@@ -419,7 +420,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[cfg.command](cfg)
-    except ValueError as exc:
+    except ValueError as exc:  # includes SearchBoundError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MarkovError as exc:

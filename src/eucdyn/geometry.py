@@ -77,7 +77,8 @@ def phi_inv_rect(ctx: FieldContext, r: Rect) -> Rect:
 def lattice_in_box(ctx: FieldContext, s_iv: Iv, u_iv: Iv, open_box: bool = True):
     """All lattice elements q with conj(q) in s_iv and q in u_iv.
 
-    Yields QElems q = m + n*alpha in deterministic (n, m) order.  With
+    Yields the integer coordinates (m, n) of q = m + n*alpha, in
+    deterministic (n, m) order; ``ctx.from_xy(m, n)`` gives q.  With
     ``open_box`` the interval endpoints are excluded.
     """
     alpha, alpha_conj = ctx.alpha, ctx.alpha_conj
@@ -98,7 +99,7 @@ def lattice_in_box(ctx: FieldContext, s_iv: Iv, u_iv: Iv, open_box: bool = True)
         m_lo_e = m_lo_1 if m_lo_1 >= m_lo_2 else m_lo_2
         m_hi_e = m_hi_1 if m_hi_1 <= m_hi_2 else m_hi_2
         for m in int_range(m_lo_e, m_hi_e):
-            yield ctx.from_xy(m, n)
+            yield m, n
 
 
 def torus_components(ctx: FieldContext, moving: Rect, fixed: Rect):
@@ -110,7 +111,8 @@ def torus_components(ctx: FieldContext, moving: Rect, fixed: Rect):
     s_box = Iv(moving.s.lo - fixed.s.hi, moving.s.hi - fixed.s.lo)
     u_box = Iv(moving.u.lo - fixed.u.hi, moving.u.hi - fixed.u.lo)
     out = []
-    for q in lattice_in_box(ctx, s_box, u_box, open_box=True):
+    for m, n in lattice_in_box(ctx, s_box, u_box, open_box=True):
+        q = ctx.from_xy(m, n)
         shifted = moving.translate(q)
         s_iv = shifted.s.intersect_open(fixed.s)
         if s_iv is None:
@@ -126,7 +128,7 @@ def point_translates(ctx: FieldContext, s: QElem, u: QElem, rect: Rect):
     """Lattice q such that (s, u) - (conj q, q) lies in the closed rect."""
     s_box = Iv(s - rect.s.hi, s - rect.s.lo)
     u_box = Iv(u - rect.u.hi, u - rect.u.lo)
-    return list(lattice_in_box(ctx, s_box, u_box, open_box=False))
+    return [ctx.from_xy(m, n) for m, n in lattice_in_box(ctx, s_box, u_box, open_box=False)]
 
 
 def covers_exactly(region: Rect, pieces: list[Rect]) -> bool:

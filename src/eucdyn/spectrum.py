@@ -211,7 +211,8 @@ def _box_min(ctx, su_pair):
     s0, u0 = su_pair
     W = ctx.box_halfwidth
     best = None
-    for q in lattice_in_box(ctx, Iv(s0 - W, s0 + W), Iv(u0 - W, u0 + W), open_box=False):
+    for m, n in lattice_in_box(ctx, Iv(s0 - W, s0 + W), Iv(u0 - W, u0 + W), open_box=False):
+        q = ctx.from_xy(m, n)
         v = abs((s0 - q.conj()) * (u0 - q))
         if best is None or v < best:
             best = v
@@ -276,7 +277,8 @@ def _torsion_reps(ctx, t_su, margin, forward: bool):
     else:
         s_iv, u_iv = Iv(t_su.s - W, t_su.s + W), Iv(t_su.u - margin, t_su.u + margin)
     out = []
-    for q in lattice_in_box(ctx, s_iv, u_iv, open_box=False):
+    for m, n in lattice_in_box(ctx, s_iv, u_iv, open_box=False):
+        q = ctx.from_xy(m, n)
         s_rep, u_rep = t_su.s - q.conj(), t_su.u - q
         if forward:
             out.append((abs(u_rep), s_rep))

@@ -110,43 +110,56 @@ def orbit(ctx: FieldContext, p: PointXY) -> list[PointXY]:
     return out
 
 
+class SearchBoundError(ValueError):
+    """The configured inhomogeneous-minimum bound is too small: the M(P)
+    search box it sizes cannot certify the minimum."""
+
+
 def euclidean_min_qpoint(ctx: FieldContext, p: PointXY) -> Fraction:
     """Exact M(p) for a rational point: min over orbit representatives in
     the search box of |Nm(rep - q)| over lattice points q.
 
+    With d the common denominator of an orbit point (x, y), the norm of
+    its translate by q = m + n*alpha is |X^2 + T*X*Y + N*Y^2| / d^2 at the
+    integers X = d*x - d*m, Y = d*y - d*n (T, N the trace and norm of
+    alpha), so the whole search runs on ints.
+
     Completeness: any value below the configured bound is witnessed by a
     representative with both coordinates below sqrt(eps*(m1_bound+1)).
-    Aborts if the result is not strictly below ``ctx.m1_bound`` (the
+    Raises SearchBoundError if the result is above ``ctx.m1_bound`` (the
     configured bound would then be wrong and searches incomplete).
     """
     _require_rational(p)
     W = ctx.box_halfwidth
     T, N = ctx.alpha_trace, ctx.alpha_norm
     alpha, alpha_conj = ctx.alpha, ctx.alpha_conj
-    best = None
+    best, best_den = None, 1  # best value is best / best_den
     for pt in orbit(ctx, p):
-        x, y = pt.x, pt.y
+        x, y = Fraction(pt.x), Fraction(pt.y)
+        d = lcm(x.denominator, y.denominator)
+        dx, dy = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)
+        d2 = d * d
         s0 = alpha_conj * y + x
         u0 = alpha * y + x
         s_iv = Iv(s0 - W, s0 + W)
         u_iv = Iv(u0 - W, u0 + W)
-        for q in lattice_in_box(ctx, s_iv, u_iv, open_box=False):
-            qx, qy = ctx.xy_of(q)
-            xi, eta = x - qx, y - qy
-            val = abs(xi * xi + T * xi * eta + N * eta * eta)
-            if best is None or val < best:
-                best = val
-                if best == 0:
-                    return best
+        for m, n in lattice_in_box(ctx, s_iv, u_iv, open_box=False):
+            X, Y = dx - d * m, dy - d * n
+            val = abs(X * X + T * X * Y + N * Y * Y)
+            if best is None or val * best_den < best * d2:
+                best, best_den = val, d2
+                if val == 0:
+                    return Fraction(0)
     # the search is complete for all values up to the configured bound
     # (equality allowed: the supremum may be attained); a value above it
     # means the bound was wrong and the box too small
-    if best is None or best > ctx.m1_bound:
-        raise RuntimeError(
-            f"search for M(P) at {p} returned {best}, above the configured "
+    result = None if best is None else Fraction(best, best_den)
+    if result is None or result > ctx.m1_bound:
+        raise SearchBoundError(
+            f"search for M(P) at ({p.x}, {p.y}) returned {result}, above the configured "
             f"bound {ctx.m1_bound}; the bound is too small for this field"
         )
-    return best
+    return result
 
 
 @dataclass(frozen=True)

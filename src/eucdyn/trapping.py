@@ -47,13 +47,12 @@ def i_k_set(ctx: FieldContext, p0: Partition, extra: int = 0) -> list[QElem]:
         raise ValueError("level-0 partition required")
     w = ctx.elem(ctx.box_halfwidth)
     pad = ctx.elem(extra * 1)
-    seen = {}
+    seen = set()
     for r in p0.rects:
         s_iv = Iv(r.s.lo - w - pad, r.s.hi + w + pad)
         u_iv = Iv(r.u.lo - w - pad, r.u.hi + w + pad)
-        for q in lattice_in_box(ctx, s_iv, u_iv, open_box=True):
-            seen[ctx.xy_of(q)] = q
-    return [seen[key] for key in sorted(seen, key=lambda xy: (xy[1], xy[0]))]
+        seen.update(lattice_in_box(ctx, s_iv, u_iv, open_box=True))
+    return [ctx.from_xy(m, n) for m, n in sorted(seen, key=lambda mn: (mn[1], mn[0]))]
 
 
 def corner_sup(a: Rect, q: QElem) -> QElem:

@@ -104,3 +104,12 @@ def test_ik_dump(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["count"] == len(doc["points"]) > 0
     assert any(p["x"] == [0, 1] and p["y"] == [0, 1] for p in doc["points"])
+
+
+def test_verify_m1_bound_too_small(capsys):
+    # M(0, 1/2) = 1/4 for D=5, so a bound of 1/100 cannot size the search
+    rc = main(["verify", "--D", "5", "--n", "1", "--m1-bound", "1/100"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: search for M(P)")
+    assert "bound is too small" in err and "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 
 from eucdyn.qfield import (
     QElem,
+    _is_square_free,
     abs_norm,
     compare,
     make_context,
@@ -152,3 +153,33 @@ def test_mixed_arithmetic(ctx5):
     assert x - Fraction(1, 2) == ctx5.elem(Fraction(1, 2), 1)
     assert 2 * x == ctx5.elem(2, 2)
     assert (x / 2) * 2 == x
+
+
+@pytest.mark.parametrize("residues,pell_n", [((1,), (-4, 4)), ((2, 3), (-1, 1))])
+def test_fundamental_unit_matches_sympy(residues, pell_n):
+    # eps is the least (x + y*sqrt(D))/k > 1 over the solutions of
+    # x^2 - D*y^2 = +-k^2, with k = 2 for D = 1 mod 4 and k = 1 otherwise
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    k = 2 if residues == (1,) else 1
+    checked = 0
+    for D in range(2, 1200):
+        if D % 4 not in residues or not _is_square_free(D):
+            continue
+        ctx = make_context(D)
+        units = [
+            ctx.elem(Fraction(abs(x), k), Fraction(abs(y), k))
+            for n in pell_n
+            for x, y in diop_DN(D, n)
+            if y != 0
+        ]
+        assert ctx.eps == min(units), D
+        checked += 1
+    assert checked == (241 if k == 2 else 488)
+
+
+def test_make_context_large_unit():
+    # the least unit of Q(sqrt(241)) has y = 9148450; a capped y search missed it
+    ctx = make_context(241)
+    assert ctx.eps == ctx.elem(Fraction(142022136, 2), Fraction(9148450, 2))
+    assert ctx.eps.norm() == -1
