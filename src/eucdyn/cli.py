@@ -4,8 +4,7 @@ Thresholds and grids are rational end to end (``p/q`` or exact decimal
 strings), so reruns of the same configuration produce byte-identical
 CSV.  Exit codes: 0 success, 2 configuration error (including an
 ``--m1-bound`` too small to certify an M(P) search), 3 mathematical
-verification failure, 4 I/O failure.  EUCDYN_THREADS bounds the worker
-pool for the grid map.
+verification failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -233,11 +232,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     check("coding conjugacy", conjugacy)
 
+    points = trapping.i_k_set(ctx, parts[0])
+
     def soundness():
-        points = trapping.i_k_set(ctx, parts[0])
         level = min(2, cfg.n)
         part = parts[level]
-        thresholds = [trapping.trap_threshold(r, points) for r in part.rects]
+        thresholds = trapping.trap_thresholds(part, points)
         for den in (1, 2, 3):
             for a in range(den):
                 for b in range(den):
@@ -262,7 +262,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     check("trapping soundness", soundness)
 
     def straddle():
-        points = trapping.i_k_set(ctx, parts[0])
         cfg_t = trapping.TrapConfig(Fraction(3, 20), tuple(points), min(2, cfg.n))
         cands = trapping.straddling(parts[min(2, cfg.n)], cfg_t)
         return True, f"{len(cands)} straddling candidates at t=3/20"

@@ -54,14 +54,18 @@ class Partition:
     the generator alphabet, plus the transition relation.
 
     ``base`` is the level-0 generator partition (self, at level 0).
-    Instances are immutable after construction.
+    ``parent`` is the partition ``refine`` made this one from, whose cell
+    with word ``w[1:-1]`` contains the cell with word ``w``; None at level
+    0 and for hand-built partitions.  Instances are immutable after
+    construction.
     """
 
-    def __init__(self, ctx: FieldContext, level: int, rects: list[Rect], base=None):
+    def __init__(self, ctx: FieldContext, level: int, rects: list[Rect], base=None, parent=None):
         self.ctx = ctx
         self.level = level
         self.rects = list(rects)
         self.base = base if base is not None else self
+        self.parent = parent
         self.word_index = {r.word: i for i, r in enumerate(self.rects)}
         if len(self.word_index) != len(self.rects):
             raise ValueError("duplicate coordinate words")
@@ -256,7 +260,7 @@ def refine(p: Partition) -> Partition:
         Rect(_fold_s(base, w[: level + 1]), _fold_u(base, w[level:]), w)
         for w in new_words
     ]
-    return Partition(p.ctx, level, rects, base=base)
+    return Partition(p.ctx, level, rects, base=base, parent=p)
 
 
 def _fold_u(base: Partition, future: tuple[int, ...]) -> Iv:

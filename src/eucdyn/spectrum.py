@@ -10,8 +10,6 @@ are provided exactly for cross-checks.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +26,7 @@ from .torus import (
     su_to_xy,
     xy_to_su,
 )
-from .trapping import trap_threshold
+from .trapping import trap_thresholds
 
 
 @dataclass(frozen=True)
@@ -48,14 +46,13 @@ def dim_curve(
     n: int,
     points,
     partition: Partition | None = None,
-    workers: int | None = None,
 ) -> list[SpectrumSample]:
     """One SpectrumSample per grid threshold, at refinement level n.
 
-    The per-cell trapping thresholds are computed once, exactly; each
-    grid value then reduces to exact comparisons plus one eigenvalue
-    computation.  Grid points are independent; ``workers`` (default from
-    EUCDYN_THREADS) bounds the thread pool, output order follows the grid.
+    The per-cell trapping thresholds are computed once, exactly, level by
+    level down the refinement chain; each grid value then reduces to
+    exact comparisons plus one eigenvalue computation.  Grid values run
+    one after another in grid order, in the calling thread.
     """
     from .partition import generator, refine
 
@@ -65,8 +62,7 @@ def dim_curve(
             partition = refine(partition)
     if partition.level != n:
         raise ValueError(f"partition level {partition.level} != n={n}")
-    thresholds = [trap_threshold(r, points) for r in partition.rects]
-    partition.successors(0)  # warm the shared cache before pooling
+    thresholds = trap_thresholds(partition, points)
 
     def sample(t: Fraction) -> SpectrumSample:
         trapped = [
@@ -87,13 +83,7 @@ def dim_curve(
             empty_flag=shift.empty,
         )
 
-    grid = [Fraction(t) for t in t_grid]
-    if workers is None:
-        workers = int(os.environ.get("EUCDYN_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(sample, grid))
-    return [sample(t) for t in grid]
+    return [sample(Fraction(t)) for t in t_grid]
 
 
 @dataclass(frozen=True)

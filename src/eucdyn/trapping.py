@@ -1,13 +1,20 @@
 """Trapped rectangles: cells whose closure lies in a norm neighborhood.
 
 A cell is trapped below threshold t for a lattice point q when the
-largest of the four corner values |s - conj(q)| * |u - q| is strictly
-below t; the corner rule is exact because on a box the per-axis maximum
-of |coordinate - center| is attained at an endpoint.  Only single-point
+largest value of |s - conj(q)| * |u - q| over the closed cell is
+strictly below t.  The two factors are non-negative and vary
+independently, so that largest value is the product of the per-axis
+maxima, each attained at an interval end.  Only single-point
 trapping is tested (a cell jointly covered by several neighborhoods but
 by no single one is not counted); that under-approximation keeps every
 derived bound sound and does not disturb the limit, and ``straddling``
 reports where it could bite.
+
+Thresholds are computed down the refinement chain.  A point whose least
+value over the parent cell P (the product of the per-axis gaps) is
+>= th(P) is >= every child's threshold, as children lie in P, and is
+dropped; the point attaining th(P) stays, since on a box with sides of
+positive length the least value is below the largest.  So pruning is exact.
 """
 
 from __future__ import annotations
@@ -56,14 +63,18 @@ def i_k_set(ctx: FieldContext, p0: Partition, extra: int = 0) -> list[QElem]:
 
 
 def corner_sup(a: Rect, q: QElem) -> QElem:
-    """Largest |s - conj(q)| * |u - q| over the four closed corners."""
-    qs, qu = q.conj(), q
-    best = None
-    for cs, cu in a.corners():
-        v = abs(cs - qs) * abs(cu - qu)
-        if best is None or v > best:
-            best = v
-    return best
+    """Largest |s - conj(q)| * |u - q| over the closed cell."""
+    qs = q.conj()
+    return max(abs(a.s.lo - qs), abs(a.s.hi - qs)) * max(abs(a.u.lo - q), abs(a.u.hi - q))
+
+
+def _gap(iv: Iv, z: QElem):
+    """Least |z - c| over c in the closed interval: 0 inside it."""
+    if z < iv.lo:
+        return iv.lo - z
+    if z > iv.hi:
+        return z - iv.hi
+    return 0
 
 
 def rect_trapped_single(a: Rect, q: QElem, t) -> bool:
@@ -83,28 +94,53 @@ def trap_threshold(a: Rect, points) -> QElem | None:
     return best
 
 
+def trap_thresholds(partition: Partition, points) -> list[QElem | None]:
+    """``trap_threshold`` of every cell of the partition over the points,
+    computed level by level down the chain of ``parent`` partitions, each
+    cell's candidates pruned on its parent (see the module docstring).  A
+    partition without a parent takes every point for every cell."""
+    chain = [partition]
+    while chain[-1].parent is not None:
+        chain.append(chain[-1].parent)
+    points = list(points)
+    kept = None  # parent word -> the points its children still need
+    for p in reversed(chain):
+        thresholds, nxt = [], {}
+        for r in p.rects:
+            cands = points if kept is None else kept[r.word[1:-1]]
+            th = trap_threshold(r, cands)
+            thresholds.append(th)
+            if p is not partition:
+                nxt[r.word] = [
+                    q for q in cands if _gap(r.s, q.conj()) * _gap(r.u, q) < th
+                ]
+        kept = nxt
+    return thresholds
+
+
 def trapped_set(partition: Partition, cfg: TrapConfig) -> list[Rect]:
     """Cells of the partition whose closure is trapped by some single
     lattice point of the configuration at threshold cfg.t."""
     if partition.level != cfg.n:
         raise ValueError(f"partition level {partition.level} != cfg.n={cfg.n}")
-    out = []
-    for a in partition.rects:
-        if any(rect_trapped_single(a, q, cfg.t) for q in cfg.points):
-            out.append(a)
-    return out
+    return [
+        a
+        for a, th in zip(partition.rects, trap_thresholds(partition, cfg.points))
+        if th is not None and th < cfg.t
+    ]
 
 
 def straddling(partition: Partition, cfg: TrapConfig) -> list[Rect]:
     """Diagnostic: cells not trapped by any single lattice point although
     each corner is below threshold for some point; these are the only
     candidates on which joint-neighborhood trapping could do better."""
+    pairs = [(q.conj(), q) for q in cfg.points]
     out = []
-    for a in partition.rects:
-        if any(rect_trapped_single(a, q, cfg.t) for q in cfg.points):
+    for a, th in zip(partition.rects, trap_thresholds(partition, cfg.points)):
+        if th is not None and th < cfg.t:
             continue
         if all(
-            any(abs(cs - q.conj()) * abs(cu - q) < cfg.t for q in cfg.points)
+            any(abs(cs - qs) * abs(cu - q) < cfg.t for qs, q in pairs)
             for cs, cu in a.corners()
         ):
             out.append(a)

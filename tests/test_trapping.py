@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from eucdyn.geometry import Iv, Rect
+from eucdyn.partition import Partition, refine
 from eucdyn.qfield import make_context
 from eucdyn.sft import avoid, dimension, entropy
 from eucdyn.trapping import (
@@ -12,8 +13,11 @@ from eucdyn.trapping import (
     i_k_set,
     rect_trapped_single,
     trap_threshold,
+    trap_thresholds,
     trapped_set,
 )
+
+FIELD_CHAINS = ("parts2", "parts3", "parts5", "parts13")
 
 
 def _unit_rect(ctx, s_lo, s_hi, u_lo, u_hi):
@@ -135,3 +139,60 @@ def test_dimension_bound_monotone_in_level(ctx5, parts5):
 def test_trap_config_validation():
     with pytest.raises(ValueError):
         TrapConfig(Fraction(0), (), 1)
+
+
+def _four_corner_sup(a, q):
+    return max(abs(cs - q.conj()) * abs(cu - q) for cs, cu in a.corners())
+
+
+def _flat_thresholds(p, points):
+    return [min(_four_corner_sup(r, q) for q in points) for r in p.rects]
+
+
+@pytest.mark.parametrize("chain", FIELD_CHAINS)
+def test_corner_sup_matches_four_corners(request, chain):
+    parts = request.getfixturevalue(chain)
+    points = i_k_set(parts[0].ctx, parts[0])
+    for r in parts[2].rects:
+        for q in points:
+            assert corner_sup(r, q) == _four_corner_sup(r, q)
+
+
+@pytest.mark.parametrize("chain", FIELD_CHAINS)
+def test_trap_thresholds_match_flat_minimum(request, chain):
+    parts = request.getfixturevalue(chain)
+    points = i_k_set(parts[0].ctx, parts[0])
+    for p in parts[:3]:
+        assert trap_thresholds(p, points) == _flat_thresholds(p, points)
+
+
+def test_trap_thresholds_match_flat_minimum_deep(ctx5, parts5):
+    points = i_k_set(ctx5, parts5[0])
+    p = parts5[3]
+    while True:
+        assert trap_thresholds(p, points) == _flat_thresholds(p, points)
+        if p.level == 6:
+            break
+        p = refine(p)
+
+
+def test_trap_thresholds_without_parent(ctx5, parts5):
+    points = i_k_set(ctx5, parts5[0])
+    loose = Partition(ctx5, 2, parts5[2].rects, base=parts5[0])
+    assert loose.parent is None
+    assert trap_thresholds(loose, points) == _flat_thresholds(loose, points)
+
+
+def test_refine_records_parent(parts5):
+    assert parts5[0].parent is None
+    assert refine(parts5[1]).parent is parts5[1]
+
+
+@pytest.mark.parametrize("chain", FIELD_CHAINS)
+def test_refined_cells_lie_in_parent(request, chain):
+    for p in request.getfixturevalue(chain)[1:]:
+        parent = p.parent
+        for r in p.rects:
+            a = parent.rects[parent.word_index[r.word[1:-1]]]
+            assert a.s.lo <= r.s.lo and r.s.hi <= a.s.hi, r.word
+            assert a.u.lo <= r.u.lo and r.u.hi <= a.u.hi, r.word
