@@ -18,7 +18,7 @@ from .partition import (
     verify_markov,
 )
 from .qfield import FieldContext, QElem, abs_norm, compare, make_context
-from .sft import Subshift, avoid, block_recode, dimension, entropy, periodize
+from .sft import Subshift, avoid, dimension, entropy, periodize
 from .spectrum import (
     SpectrumSample,
     certify_spectrum_point,
@@ -62,7 +62,6 @@ __all__ = [
     "avoid",
     "base_rectangles",
     "big_rectangle",
-    "block_recode",
     "certify_spectrum_point",
     "code_qpoint",
     "compare",

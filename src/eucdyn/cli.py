@@ -233,11 +233,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     check("coding conjugacy", conjugacy)
 
     points = trapping.i_k_set(ctx, parts[0])
+    part = parts[min(2, cfg.n)]
+    thresholds = trapping.trap_thresholds(part, points)
 
     def soundness():
-        level = min(2, cfg.n)
-        part = parts[level]
-        thresholds = trapping.trap_thresholds(part, points)
         for den in (1, 2, 3):
             for a in range(den):
                 for b in range(den):
@@ -262,8 +261,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     check("trapping soundness", soundness)
 
     def straddle():
-        cfg_t = trapping.TrapConfig(Fraction(3, 20), tuple(points), min(2, cfg.n))
-        cands = trapping.straddling(parts[min(2, cfg.n)], cfg_t)
+        cfg_t = trapping.TrapConfig(Fraction(3, 20), tuple(points), part.level)
+        cands = trapping.straddling(part, cfg_t, thresholds)
         return True, f"{len(cands)} straddling candidates at t=3/20"
 
     check("single-point trapping diagnostic", straddle)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .geometry import point_translates
 from .qfield import QElem
-from .torus import PointSU, PointXY, torus_eq, xy_to_su
+from .torus import PointSU, PointXY, orbit, torus_eq, xy_to_su
 
 
 @dataclass(frozen=True)
@@ -185,23 +186,6 @@ def pi_eval(sp: SymbolicPoint, partition) -> PointSU:
     return PointSU(_s_coordinate(sp, partition), _u_coordinate(sp, partition))
 
 
-def validate_admissible(sp: SymbolicPoint, partition) -> bool:
-    """Check every distinct transition the string uses, exactly."""
-    span = (
-        len(sp.left_loop) * 2
-        + len(sp.left_pre)
-        + len(sp.center)
-        + len(sp.right_pre)
-        + 2 * len(sp.right_loop)
-        + 2
-    )
-    lo = -(len(sp.left_pre) + 2 * len(sp.left_loop) + 1)
-    return all(
-        partition.admissible(sp.symbol(k), sp.symbol(k + 1))
-        for k in range(lo, lo + span)
-    )
-
-
 def code_qpoint(partition, p: PointXY) -> list[SymbolicPoint]:
     """All periodic itineraries of a rational point through the partition.
 
@@ -209,10 +193,8 @@ def code_qpoint(partition, p: PointXY) -> list[SymbolicPoint]:
     flagged by returning every compatible coding (membership taken in the
     closed cells, each candidate confirmed by exact evaluation).
     """
-    from .geometry import point_translates
-
     ctx = partition.ctx
-    orb_xy = _orbit_for(ctx, p)
+    orb_xy = orbit(ctx, p)
     candidates = []
     for pt in orb_xy:
         su = xy_to_su(ctx, pt)
@@ -240,9 +222,3 @@ def code_qpoint(partition, p: PointXY) -> list[SymbolicPoint]:
         raise AssertionError(f"no coding found for {p}")
     out.sort(key=lambda sp: (sp.center, sp.right_pre))
     return out
-
-
-def _orbit_for(ctx, p: PointXY):
-    from .torus import orbit
-
-    return orbit(ctx, p)

@@ -36,9 +36,6 @@ class Iv:
         hi = self.hi if self.hi <= other.hi else other.hi
         return Iv(lo, hi) if lo < hi else None
 
-    def contains_closed(self, z) -> bool:
-        return self.lo <= z <= self.hi
-
     def __eq__(self, other):
         return self.lo == other.lo and self.hi == other.hi
 

@@ -167,9 +167,6 @@ class Partition:
     def words(self):
         return [r.word for r in self.rects]
 
-    def center_symbol(self, i: int) -> int:
-        return self.rects[i].word[self.level]
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:

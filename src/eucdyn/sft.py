@@ -12,7 +12,7 @@ exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -28,17 +28,13 @@ class Subshift:
     essential part (symbols lying on bi-infinite paths).
 
     ``source_ids`` maps each symbol back to the rectangle index in the
-    partition the subshift was built from; ``removed`` records forbidden
-    words.  ``base_succ`` is the generator transition structure, kept so
-    the subshift can be recoded to other block levels.
+    partition the subshift was built from.
     """
 
     level: int
     symbols: tuple[tuple[int, ...], ...]
     matrix: np.ndarray
-    base_succ: tuple[tuple[int, ...], ...]
     source_ids: tuple[int, ...] = ()
-    removed: tuple[tuple[int, ...], ...] = field(default=())
 
     @property
     def empty(self) -> bool:
@@ -51,16 +47,12 @@ class Subshift:
     def successors(self, i: int) -> tuple[int, ...]:
         return tuple(int(j) for j in np.flatnonzero(self.matrix[i]))
 
-    def index_of_source(self, rect_id: int) -> int:
-        return self.source_ids.index(rect_id)
-
     @staticmethod
     def from_matrix(matrix, symbols=None) -> "Subshift":
         mat = np.asarray(matrix, dtype=bool)
         n = mat.shape[0]
         symbols = tuple(symbols) if symbols is not None else tuple((i,) for i in range(n))
-        succ = tuple(tuple(int(j) for j in np.flatnonzero(mat[i])) for i in range(n))
-        return _pruned(Subshift(0, symbols, mat, succ, tuple(range(n))))
+        return _pruned(Subshift(0, symbols, mat, tuple(range(n))))
 
 
 def _pruned(s: Subshift) -> Subshift:
@@ -85,9 +77,7 @@ def _pruned(s: Subshift) -> Subshift:
         s.level,
         tuple(s.symbols[i] for i in idx),
         s.matrix[np.ix_(keep, keep)],
-        s.base_succ,
         tuple(s.source_ids[i] for i in idx),
-        s.removed,
     )
 
 
@@ -98,10 +88,8 @@ def avoid(partition, forbidden) -> Subshift:
     words = partition.words
     n = partition.level
     banned: set[tuple[int, ...]] = set()
-    removed = []
     for item in forbidden:
         w = tuple(item.word) if hasattr(item, "word") else tuple(item)
-        removed.append(w)
         if len(w) == 2 * n + 1:
             if w not in partition.word_index:
                 raise ValueError(f"forbidden word {w} not in the alphabet")
@@ -123,11 +111,7 @@ def avoid(partition, forbidden) -> Subshift:
         for j in partition.successors(rid):
             if j in pos:
                 mat[k, pos[j]] = True
-    base = partition.base
-    base_succ = tuple(base.successors(i) for i in range(len(base.rects)))
-    return _pruned(
-        Subshift(n, symbols, mat, base_succ, tuple(keep_ids), tuple(removed))
-    )
+    return _pruned(Subshift(n, symbols, mat, tuple(keep_ids)))
 
 
 @dataclass(frozen=True)
@@ -202,84 +186,6 @@ def dimension(h, ctx: FieldContext) -> float:
     return d
 
 
-def block_recode(s: Subshift, m: int) -> Subshift:
-    """The canonically conjugate subshift presented on level-m words.
-
-    For m >= level the recoding always exists; for m = level-1 it exists
-    when one-step memory suffices, which is checked exactly (every length-3
-    path of the candidate presentation must span an allowed word), and a
-    ValueError is raised otherwise.  Entropy is preserved.
-    """
-    n = s.level
-    if m < n - 1:
-        raise ValueError(f"target level {m} below {n - 1}")
-    if m == n:
-        return s
-    if s.empty:
-        return Subshift(m, (), np.zeros((0, 0), dtype=bool), s.base_succ, (), s.removed)
-    if m > n:
-        return block_recode(_extend_once(s), m)
-    return _truncate_once(s)
-
-
-def _extend_once(s: Subshift) -> Subshift:
-    n = s.level
-    allowed = set(s.symbols)
-    preds: dict[int, list[int]] = {}
-    for i, row in enumerate(s.base_succ):
-        for j in row:
-            preds.setdefault(j, []).append(i)
-    new_words = []
-    for w in s.symbols:
-        # the two windows a left/right extension introduces must be allowed
-        for a in preds.get(w[0], ()):
-            if (a,) + w[:-1] not in allowed:
-                continue
-            for b in s.base_succ[w[-1]]:
-                if w[1:] + (b,) not in allowed:
-                    continue
-                new_words.append((a,) + w + (b,))
-    new_words = sorted(set(new_words))
-    mat = np.zeros((len(new_words), len(new_words)), dtype=bool)
-    by_prefix: dict[tuple[int, ...], list[int]] = {}
-    for k, w in enumerate(new_words):
-        by_prefix.setdefault(w[:-1], []).append(k)
-    for k, w in enumerate(new_words):
-        for j in by_prefix.get(w[1:], ()):
-            mat[k, j] = True
-    return _pruned(
-        Subshift(n + 1, tuple(new_words), mat, s.base_succ, tuple(range(len(new_words))), s.removed)
-    )
-
-
-def _truncate_once(s: Subshift) -> Subshift:
-    n = s.level
-    trunc = sorted({w[1:-1] for w in s.symbols})
-    index = {w: k for k, w in enumerate(trunc)}
-    mat = np.zeros((len(trunc), len(trunc)), dtype=bool)
-    for i, w in enumerate(s.symbols):
-        for j in np.flatnonzero(s.matrix[i]):
-            mat[index[w[1:-1]], index[s.symbols[int(j)][1:-1]]] = True
-    allowed = set(s.symbols)
-    # faithfulness: every admissible triple must span an allowed word
-    for p_i, p in enumerate(trunc):
-        for q_i in np.flatnonzero(mat[p_i]):
-            q = trunc[int(q_i)]
-            if p[1:] != q[:-1]:
-                raise ValueError("inconsistent truncation overlap")
-            for r_i in np.flatnonzero(mat[int(q_i)]):
-                r = trunc[int(r_i)]
-                spanned = p[:1] + q + r[-1:]
-                if spanned not in allowed:
-                    raise ValueError(
-                        "subshift is not one-step at the coarser level; "
-                        f"path spans forbidden word {spanned}"
-                    )
-    return _pruned(
-        Subshift(n - 1, tuple(trunc), mat, s.base_succ, tuple(range(len(trunc))), s.removed)
-    )
-
-
 def periodize(s: Subshift, w, u=(), v=()) -> SymbolicPoint:
     """An eventually-periodic bi-infinite element of the subshift that
     contains ``w``, obtained by looping a repeated symbol found in each
@@ -344,11 +250,3 @@ def periodize(s: Subshift, w, u=(), v=()) -> SymbolicPoint:
         left_pre=left_pre,
         left_loop=left_loop,
     )
-
-
-def export_matrix(s: Subshift, fp) -> None:
-    """Sparse coordinate triples, one ``i j 1`` line per transition."""
-    fp.write(f"# alphabet {s.alphabet_size} level {s.level}\n")
-    for i in range(s.alphabet_size):
-        for j in np.flatnonzero(s.matrix[i]):
-            fp.write(f"{i} {int(j)} 1\n")

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import sft
 from .coding import SymbolicPoint, pi_eval
-from .geometry import Iv, lattice_in_box
+from .geometry import Iv, Rect, point_translates
 from .partition import Partition
 from .qfield import FieldContext, QElem
 from .torus import (
@@ -23,10 +24,12 @@ from .torus import (
     euclidean_min_qpoint,
     kpoint_collapse_order,
     orbit,
+    phi_apply,
+    phi_su,
     su_to_xy,
     xy_to_su,
 )
-from .trapping import trap_thresholds
+from .trapping import big_rectangle, trap_thresholds
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ def dim_curve(
     t_grid,
     n: int,
     points,
-    partition: Partition | None = None,
+    partition: Partition,
 ) -> list[SpectrumSample]:
     """One SpectrumSample per grid threshold, at refinement level n.
 
@@ -54,12 +57,6 @@ def dim_curve(
     exact comparisons plus one eigenvalue computation.  Grid values run
     one after another in grid order, in the calling thread.
     """
-    from .partition import generator, refine
-
-    if partition is None:
-        partition = generator(ctx)
-        for _ in range(n):
-            partition = refine(partition)
     if partition.level != n:
         raise ValueError(f"partition level {partition.level} != n={n}")
     thresholds = trap_thresholds(partition, points)
@@ -180,7 +177,7 @@ def certify_spectrum_point(ctx: FieldContext, partition: Partition, sp: Symbolic
 
     warm = 6
     for k in range(-warm, warm + 1):
-        v = _box_min(ctx, _phi_k(ctx, su, k))
+        v = _box_min(ctx, phi_su(ctx, su, k))
         if v is not None and v < best:
             best = v
 
@@ -189,21 +186,12 @@ def certify_spectrum_point(ctx: FieldContext, partition: Partition, sp: Symbolic
     return best
 
 
-def _phi_k(ctx, su, k: int):
-    f_s = (ctx.eps_conj if k >= 0 else ctx.eps * ctx.nm_eps) ** abs(k)
-    f_u = (ctx.eps if k >= 0 else ctx.eps_inv) ** abs(k)
-    return su.s * f_s, su.u * f_u
-
-
-def _box_min(ctx, su_pair):
+def _box_min(ctx, su):
     """Least |s*u| over lattice representatives of the point inside the
     search box; None when no representative meets the box."""
-    s0, u0 = su_pair
-    W = ctx.box_halfwidth
     best = None
-    for m, n in lattice_in_box(ctx, Iv(s0 - W, s0 + W), Iv(u0 - W, u0 + W), open_box=False):
-        q = ctx.from_xy(m, n)
-        v = abs((s0 - q.conj()) * (u0 - q))
+    for q in point_translates(ctx, su.s, su.u, big_rectangle(ctx)):
+        v = abs((su.s - q.conj()) * (su.u - q))
         if best is None or v < best:
             best = v
     return best
@@ -222,10 +210,6 @@ def _tail_min(ctx, info, forward: bool, start: int, best):
     Every omitted value is therefore >= best, and every recorded value is
     a genuine representative norm, so the final minimum is exact.
     """
-    from math import lcm
-
-    from .torus import phi_apply
-
     if forward:
         torsion, delta = info.forward_torsion, info.forward_delta
         flips = ctx.eps_conj_sign < 0
@@ -262,16 +246,10 @@ def _torsion_reps(ctx, t_su, margin, forward: bool):
     """Lattice representatives of a torsion point, the perturbed axis
     widened by the offset margin; yields (|fixed coord|, moving coord)."""
     W = ctx.box_halfwidth
-    if forward:
-        s_iv, u_iv = Iv(t_su.s - margin, t_su.s + margin), Iv(t_su.u - W, t_su.u + W)
-    else:
-        s_iv, u_iv = Iv(t_su.s - W, t_su.s + W), Iv(t_su.u - margin, t_su.u + margin)
+    wide, narrow = Iv(-margin, margin), Iv(-W, W)
+    box = Rect(wide, narrow) if forward else Rect(narrow, wide)
     out = []
-    for m, n in lattice_in_box(ctx, s_iv, u_iv, open_box=False):
-        q = ctx.from_xy(m, n)
+    for q in point_translates(ctx, t_su.s, t_su.u, box):
         s_rep, u_rep = t_su.s - q.conj(), t_su.u - q
-        if forward:
-            out.append((abs(u_rep), s_rep))
-        else:
-            out.append((abs(s_rep), u_rep))
+        out.append((abs(u_rep), s_rep) if forward else (abs(s_rep), u_rep))
     return out

@@ -130,13 +130,14 @@ def trapped_set(partition: Partition, cfg: TrapConfig) -> list[Rect]:
     ]
 
 
-def straddling(partition: Partition, cfg: TrapConfig) -> list[Rect]:
+def straddling(partition: Partition, cfg: TrapConfig, thresholds) -> list[Rect]:
     """Diagnostic: cells not trapped by any single lattice point although
     each corner is below threshold for some point; these are the only
-    candidates on which joint-neighborhood trapping could do better."""
+    candidates on which joint-neighborhood trapping could do better.
+    ``thresholds`` is ``trap_thresholds(partition, cfg.points)``."""
     pairs = [(q.conj(), q) for q in cfg.points]
     out = []
-    for a, th in zip(partition.rects, trap_thresholds(partition, cfg.points)):
+    for a, th in zip(partition.rects, thresholds):
         if th is not None and th < cfg.t:
             continue
         if all(

@@ -10,6 +10,7 @@ from eucdyn.partition import (
     base_rectangles,
     generator,
     perturbed,
+    refine,
     tiles_plane,
     verify_markov,
 )
@@ -134,6 +135,21 @@ def test_generator_raises_on_unverifiable(ctx5):
     )
     with pytest.raises(MarkovError):
         generator(ctx5, bad)
+
+
+@pytest.mark.parametrize("fixture, level, cells", [("parts5", 4, 89), ("parts2", 2, 169)])
+def test_verify_markov_modes_agree(fixture, level, cells, request):
+    parts = request.getfixturevalue(fixture)
+    p = parts[-1]
+    while p.level < level:
+        p = refine(p)
+    assert len(p.rects) == cells
+    for mode in ("structural", "full"):
+        assert verify_markov(p, disjointness=mode).ok, mode
+    for index in (0, len(p.rects) // 2, len(p.rects) - 1):
+        bad = perturbed(p, index=index)
+        for mode in ("structural", "full"):
+            assert not verify_markov(bad, disjointness=mode).ok, (mode, index)
 
 
 @pytest.mark.parametrize("fixture", ["parts2", "parts3", "parts13"])

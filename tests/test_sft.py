@@ -1,19 +1,10 @@
-import io
 import math
 import random
 
 import numpy as np
 import pytest
 
-from eucdyn.sft import (
-    Subshift,
-    avoid,
-    block_recode,
-    dimension,
-    entropy,
-    export_matrix,
-    periodize,
-)
+from eucdyn.sft import Subshift, avoid, dimension, entropy, periodize
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -89,38 +80,22 @@ def test_dimension_full_shift_is_two(parts5, ctx5):
     assert abs(dimension(e.value, ctx5) - 2.0) < 1e-9
 
 
-def test_block_recode_up(parts5):
-    s = avoid(parts5[0], [])
-    s1 = block_recode(s, 1)
-    assert s1.alphabet_size == 5
-    assert abs(entropy(s1).value - entropy(s).value) < 1e-10
-    s3 = block_recode(s, 3)
-    assert s3.alphabet_size == 34
-    assert abs(entropy(s3).value - LOG_PHI) < 1e-10
+@pytest.mark.parametrize("n, alphabet", [(0, 2), (1, 5), (2, 13), (3, 34)])
+def test_full_shift_entropy_every_level(parts5, n, alphabet):
+    s = avoid(parts5[n], [])
+    assert s.alphabet_size == alphabet
+    assert abs(entropy(s).value - LOG_PHI) < 1e-10
 
 
-def test_block_recode_down(parts5):
-    s1 = avoid(parts5[1], [])
-    s0 = block_recode(s1, 0)
-    assert s0.alphabet_size == 2
-    assert abs(entropy(s0).value - LOG_PHI) < 1e-10
-
-
-def test_block_recode_down_rejected_when_unfaithful(parts5):
-    # forbidding one level-1 word is generally not one-step at level 0
-    s = avoid(parts5[1], [(1, 1, 1)])
-    with pytest.raises(ValueError):
-        block_recode(s, 0)
-    # but recoding such a subshift upward is fine
-    up = block_recode(s, 2)
-    assert abs(entropy(up).value - entropy(s).value) < 1e-10
-
-
-def test_block_recode_empty_and_bounds(parts5):
-    s = avoid(parts5[0], [(0,), (1,)])
-    assert block_recode(s, 2).empty
-    with pytest.raises(ValueError):
-        block_recode(avoid(parts5[1], []), -1)
+def test_forbidden_word_entropy_stable_under_refinement(parts5):
+    # forbidding the level-1 word (1, 1, 1) at levels 1..3 bans the same
+    # points: golden-mean strings without 111, i.e. concatenations of 10
+    # and 110, whose entropy is log of the real root of x^3 = x + 1
+    plastic = max(r.real for r in np.roots([1, 0, -1, -1]) if abs(r.imag) < 1e-12)
+    h1, h2, h3 = (entropy(avoid(parts5[n], [(1, 1, 1)])).value for n in (1, 2, 3))
+    assert abs(h1 - math.log(plastic)) < 1e-10
+    assert abs(h2 - h1) < 1e-10
+    assert abs(h3 - h1) < 1e-10
 
 
 def test_entropy_monotone_under_symbol_removal(parts5):
@@ -174,11 +149,3 @@ def test_periodize_lives_in_subshift(parts5):
         assert sp.symbol(k) in ids
         assert s2.matrix[pos[sp.symbol(k)], pos[sp.symbol(k + 1)]]
 
-
-def test_export_matrix(parts5):
-    s = avoid(parts5[0], [])
-    buf = io.StringIO()
-    export_matrix(s, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("# alphabet 2")
-    assert set(lines[1:]) == {"0 1 1", "1 0 1", "1 1 1"}

@@ -12,6 +12,7 @@ from eucdyn.trapping import (
     corner_sup,
     i_k_set,
     rect_trapped_single,
+    straddling,
     trap_threshold,
     trap_thresholds,
     trapped_set,
@@ -196,3 +197,23 @@ def test_refined_cells_lie_in_parent(request, chain):
             a = parent.rects[parent.word_index[r.word[1:-1]]]
             assert a.s.lo <= r.s.lo and r.s.hi <= a.s.hi, r.word
             assert a.u.lo <= r.u.lo and r.u.hi <= a.u.hi, r.word
+
+
+@pytest.mark.parametrize("chain", ("parts2", "parts5", "parts13"))
+@pytest.mark.parametrize("t", (Fraction(3, 20), Fraction(1, 5)))
+def test_straddling_matches_brute_force(request, chain, t):
+    parts = request.getfixturevalue(chain)
+    points = i_k_set(parts[0].ctx, parts[0])
+    p = parts[2]
+    expected = [
+        r.word
+        for r, th in zip(p.rects, _flat_thresholds(p, points))
+        if th >= t
+        and all(
+            any(abs(cs - q.conj()) * abs(cu - q) < t for q in points)
+            for cs, cu in r.corners()
+        )
+    ]
+    cfg = TrapConfig(t, tuple(points), 2)
+    got = straddling(p, cfg, trap_thresholds(p, points))
+    assert [r.word for r in got] == expected
