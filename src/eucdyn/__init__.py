@@ -8,7 +8,7 @@ in the final eigenvalue stage.
 
 __version__ = "0.1.0"
 
-from .coding import SymbolicPoint, code_qpoint, pi_eval, rho_s, rho_u
+from .coding import SymbolicPoint, code_qpoint, pi_eval
 from .partition import (
     MarkovError,
     Partition,
@@ -81,8 +81,6 @@ __all__ = [
     "plateau_detect",
     "refine",
     "rect_trapped_single",
-    "rho_s",
-    "rho_u",
     "su_to_xy",
     "t_infinity",
     "trapped_set",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import random
 import sys
 import time
 from dataclasses import dataclass
@@ -176,8 +177,6 @@ def cmd_minima(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    import random
-
     ctx = make_context(cfg.d, m1_bound=cfg.m1_bound)
     failures = 0
 
@@ -221,9 +220,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     def conjugacy():
         rng = random.Random(7)
         level = min(1, cfg.n)
-        shift = sft.avoid(parts[level], [])
         for _ in range(25):
-            sp = _random_symbolic_point(rng, shift)
+            sp = sft.random_itinerary(rng, parts[level])
             shifted = coding.pi_eval(sp.shifted(1), parts[level])
             mapped = phi_su(ctx, coding.pi_eval(sp, parts[level]))
             if not torus_eq(ctx, shifted, mapped):
@@ -268,43 +266,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     check("single-point trapping diagnostic", straddle)
 
     return EXIT_MATH if failures else 0
-
-
-def _random_symbolic_point(rng, shift):
-    ids = list(shift.source_ids)
-    while True:
-        start = rng.choice(ids)
-        try:
-            w = _random_path(rng, shift, start, rng.randint(1, 4))
-            u = _random_path_back(rng, shift, w[0], rng.randint(2, 6))
-            v = _random_path(rng, shift, w[-1], rng.randint(2, 6))
-            return sft.periodize(shift, w, u[:-1], v[1:])
-        except ValueError:
-            continue
-
-
-def _random_path(rng, shift, start, steps):
-    pos = {rid: k for k, rid in enumerate(shift.source_ids)}
-    out = [start]
-    for _ in range(steps):
-        nxt = [shift.source_ids[j] for j in shift.successors(pos[out[-1]])]
-        if not nxt:
-            raise ValueError("dead end")
-        out.append(rng.choice(nxt))
-    return out
-
-
-def _random_path_back(rng, shift, end, steps):
-    import numpy as np
-
-    pos = {rid: k for k, rid in enumerate(shift.source_ids)}
-    out = [end]
-    for _ in range(steps):
-        prev = [shift.source_ids[int(j)] for j in np.flatnonzero(shift.matrix[:, pos[out[0]]])]
-        if not prev:
-            raise ValueError("dead end")
-        out.insert(0, rng.choice(prev))
-    return out
 
 
 def cmd_partition_dump(cfg: RunConfig) -> int:

@@ -1,13 +1,17 @@
 """The coding map: exact evaluation of symbolic itineraries.
 
 An eventually-periodic bi-infinite itinerary over a partition alphabet
-determines a unique plane point: the unstable coordinate is the sum of
-one transition-offset term per forward symbol, scaled down by the unit
-each step, and the stable coordinate is the mirrored backward sum (with
-orientation bookkeeping when the conjugate unit is negative).  For
-eventually periodic strings each tail collapses to finitely many
-geometric series summed in closed form inside the field, so the value is
-exact.
+determines a unique plane point P_0 in the closed cell of its symbol at
+index 0, with P_{k+1} = T(P_k) under the transition map
+T_ab(P) = phi(P + (conj q_ab, q_ab)) of each pair (see
+``Partition.transition_translate``).  Unrolling the maps gives one
+series per axis,
+
+    u = -sum_i q(s_i, s_{i+1}) eps^-i,
+    s = conj(eps) * sum_i conj q(s_{-i-1}, s_{-i}) conj(eps)^i,
+
+and for eventually periodic strings each periodic tail is a geometric
+series summed in closed form inside the field, so the value is exact.
 """
 
 from __future__ import annotations
@@ -96,83 +100,19 @@ class SymbolicPoint:
         return SymbolicPoint(level, center, right_pre, right_loop, left_pre, left_loop)
 
 
-def rho_u(partition, i: int, j: int) -> QElem:
-    """Relative unstable offset in cell i of the sub-cell leading to cell j;
-    exact, in [0, 1)."""
-    if not partition.admissible(i, j):
-        raise ValueError(f"pair ({i}, {j}) not admissible")
-    a = partition.rects[i]
-    comp = partition.component_following(i, j)
-    return (comp.u.lo - a.u.lo) / a.u.length()
-
-
-def rho_s(partition, i: int, j: int, orientation: int = 1) -> QElem:
-    """Relative stable offset in cell i of the image of cell j (j precedes
-    i in time), measured from the bottom (+1) or the top (-1) edge."""
-    if not partition.admissible(j, i):
-        raise ValueError(f"pair ({j}, {i}) not admissible")
-    a = partition.rects[i]
-    comp = partition.component_preceding(i, j)
-    if orientation >= 0:
-        return (comp.s.lo - a.s.lo) / a.s.length()
-    return (a.s.hi - comp.s.hi) / a.s.length()
-
-
-def _u_coordinate(sp: SymbolicPoint, partition) -> QElem:
-    ctx = partition.ctx
-    rects = partition.rects
-    head = sp.center + sp.right_pre
-    loop = sp.right_loop
-    total = rects[head[0]].u.lo
-    scale = ctx.elem(1)
-    inv = ctx.eps_inv
-    # explicit terms: pairs (sigma_i, sigma_{i+1}) for i < len(head)
-    seq = head + (loop[0],)
-    for i in range(len(head)):
-        a, b = seq[i], seq[i + 1]
-        total = total + rho_u(partition, a, b) * rects[a].u.length() * scale
-        scale = scale * inv
-    # periodic tail: one geometric series per loop position
-    ratio = ctx.eps ** len(loop)
-    factor = ratio / (ratio - 1)
+def _orbit_sum(ctx, path, loop, term, ratio: QElem) -> QElem:
+    """sum_i term(x_i, x_{i+1}) * ratio^i along the sequence x that reads
+    path, then loop repeated forever (|ratio| < 1); exact."""
+    seq = path + loop[:1]
+    total, scale = ctx.elem(0), ctx.elem(1)
+    for a, b in zip(seq, seq[1:]):
+        total = total + term(a, b) * scale
+        scale = scale * ratio
     tail = ctx.elem(0)
-    for j in range(len(loop)):
-        a, b = loop[j], loop[(j + 1) % len(loop)]
-        tail = tail + rho_u(partition, a, b) * rects[a].u.length() * scale
-        scale = scale * inv
-    return total + tail * factor
-
-
-def _s_coordinate(sp: SymbolicPoint, partition) -> QElem:
-    ctx = partition.ctx
-    rects = partition.rects
-    alternate = ctx.eps_conj_sign < 0
-    # backward sequence sigma_0, sigma_{-1}, sigma_{-2}, ...
-    head = (sp.center[0],) + tuple(reversed(sp.left_pre))
-    loop = tuple(reversed(sp.left_loop))
-    total = rects[head[0]].s.lo
-    scale = ctx.elem(1)
-    inv = ctx.eps_inv
-    seq = head + (loop[0],)
-    for i in range(len(head)):
-        a, b = seq[i], seq[i + 1]
-        orient = -1 if (alternate and i % 2 == 1) else 1
-        total = total + rho_s(partition, a, b, orient) * rects[a].s.length() * scale
-        scale = scale * inv
-    # sign pattern must close up over the loop; double it when needed
-    eff = loop
-    if alternate and len(loop) % 2 == 1:
-        eff = loop + loop
-    ratio = ctx.eps ** len(eff)
-    factor = ratio / (ratio - 1)
-    tail = ctx.elem(0)
-    for j in range(len(eff)):
-        i = len(head) + j
-        a, b = eff[j], eff[(j + 1) % len(eff)]
-        orient = -1 if (alternate and i % 2 == 1) else 1
-        tail = tail + rho_s(partition, a, b, orient) * rects[a].s.length() * scale
-        scale = scale * inv
-    return total + tail * factor
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        tail = tail + term(a, b) * scale
+        scale = scale * ratio
+    return total + tail / (1 - ratio ** len(loop))
 
 
 def pi_eval(sp: SymbolicPoint, partition) -> PointSU:
@@ -183,7 +123,17 @@ def pi_eval(sp: SymbolicPoint, partition) -> PointSU:
     for k in (-1, 0, 1):  # cheap admissibility screen near the center
         if not partition.admissible(sp.symbol(k - 1), sp.symbol(k)):
             raise ValueError("itinerary not admissible")
-    return PointSU(_s_coordinate(sp, partition), _u_coordinate(sp, partition))
+    ctx, q = partition.ctx, partition.transition_translate
+    u = -_orbit_sum(ctx, sp.center + sp.right_pre, sp.right_loop, q, ctx.eps_inv)
+    # backward the string reads s_0, s_{-1}, ...; step i is s_{-i-1} -> s_{-i}
+    s = _orbit_sum(
+        ctx,
+        (sp.center[0],) + sp.left_pre[::-1],
+        sp.left_loop[::-1],
+        lambda a, b: q(b, a).conj(),
+        ctx.eps_conj,
+    )
+    return PointSU(ctx.eps_conj * s, u)
 
 
 def code_qpoint(partition, p: PointXY) -> list[SymbolicPoint]:

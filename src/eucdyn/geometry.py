@@ -62,11 +62,6 @@ class Rect:
         return Rect(self.s.shift(-q.conj()), self.u.shift(-q), self.word)
 
 
-def phi_rect(ctx: FieldContext, r: Rect) -> Rect:
-    """Image under the unit map: s scaled by conj(eps), u by eps."""
-    return Rect(r.s.scale(ctx.eps_conj), r.u.scale(ctx.eps), r.word)
-
-
 def phi_inv_rect(ctx: FieldContext, r: Rect) -> Rect:
     return Rect(r.s.scale(ctx.eps * ctx.nm_eps), r.u.scale(ctx.eps_inv), r.word)
 

@@ -14,9 +14,14 @@ transition geometrically and checks, with exact interval arithmetic,
 that images stretch fully across target cells in the expanding direction
 and stay inside them in the contracting one.
 
-Level-n cells are labelled by admissible words of generator symbols; the
-representative rectangle of a word is computed by folding one exact
-affine contraction per symbol onto the central cell's footprint.
+Each admissible pair (a, b) has one lattice point q_ab: the single
+component of A_a meet phi^{-1}(A_b) is (phi^{-1}(A_b) - (conj q_ab, q_ab))
+meet A_a, so the transition map T_ab(P) = phi(P + (conj q_ab, q_ab))
+carries it across A_b.  Level-n cells are labelled by admissible words of
+generator symbols; the rectangle of a word is folded through these maps
+onto the central cell's footprint, the unstable extent pulled back along
+the future symbols and the stable extent pushed forward along the past
+ones.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Iv, Rect, covers_exactly, phi_inv_rect, phi_rect, torus_components
+from .geometry import Iv, Rect, covers_exactly, phi_inv_rect, torus_components
 from .qfield import FieldContext, QElem
 
 
@@ -70,8 +75,7 @@ class Partition:
         if len(self.word_index) != len(self.rects):
             raise ValueError("duplicate coordinate words")
         self._succ: list[tuple[int, ...]] | None = None
-        self._comp_follow: dict[tuple[int, int], Rect] = {}
-        self._comp_precede: dict[tuple[int, int], Rect] = {}
+        self._translates: dict[tuple[int, int], QElem] = {}
 
     # -- transition structure ---------------------------------------------
 
@@ -111,12 +115,16 @@ class Partition:
                 tuple(sorted(by_prefix.get(r.word[1:], ()))) for r in self.rects
             ]
 
-    # -- geometric components ----------------------------------------------
+    # -- transition maps ----------------------------------------------------
 
-    def component_following(self, i: int, j: int) -> Rect:
-        """The single component of A_i meet phi^{-1}(A_j), inside A_i."""
+    def transition_translate(self, i: int, j: int) -> QElem:
+        """The lattice point q of the transition i -> j: the single
+        component of A_i meet phi^{-1}(A_j) is that of the translate by
+        (conj q, q), so T_ij(P) = phi(P + (conj q, q)) maps it into A_j."""
         key = (i, j)
-        if key not in self._comp_follow:
+        if key not in self._translates:
+            if not self.admissible(i, j):
+                raise ValueError(f"pair ({i}, {j}) not admissible")
             pieces = torus_components(
                 self.ctx, phi_inv_rect(self.ctx, self.rects[j]), self.rects[i]
             )
@@ -131,29 +139,8 @@ class Partition:
                         ),
                     )
                 )
-            self._comp_follow[key] = pieces[0][1]
-        return self._comp_follow[key]
-
-    def component_preceding(self, i: int, j: int) -> Rect:
-        """The single component of A_i meet phi(A_j), inside A_i."""
-        key = (i, j)
-        if key not in self._comp_precede:
-            pieces = torus_components(
-                self.ctx, phi_rect(self.ctx, self.rects[j]), self.rects[i]
-            )
-            if len(pieces) != 1:
-                raise MarkovError(
-                    MarkovReport(
-                        False,
-                        (
-                            self.rects[j].word,
-                            self.rects[i].word,
-                            f"{len(pieces)} components, expected 1",
-                        ),
-                    )
-                )
-            self._comp_precede[key] = pieces[0][1]
-        return self._comp_precede[key]
+            self._translates[key] = pieces[0][0]
+        return self._translates[key]
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -240,7 +227,7 @@ def _lattice_key(ctx: FieldContext, q: QElem):
 
 def refine(p: Partition) -> Partition:
     """Level n+1 from level n: extend every admissible word one symbol on
-    each side and fold the exact affine contractions onto the new word."""
+    each side and fold the transition maps onto the new word."""
     base = p.base
     preds: dict[int, list[int]] = {i: [] for i in range(len(base.rects))}
     for i, j in base.transitions():
@@ -261,42 +248,21 @@ def refine(p: Partition) -> Partition:
 
 
 def _fold_u(base: Partition, future: tuple[int, ...]) -> Iv:
-    """Unstable interval of the cell with the given forward word, anchored
-    in the footprint of its first symbol."""
-    ctx = base.ctx
-    j = future[-1]
-    iv = base.rects[j].u
-    for i in reversed(range(len(future) - 1)):
-        a, b = future[i], future[i + 1]
-        comp = base.component_following(a, b)
-        lo_b = base.rects[b].u.lo
-        iv = Iv(
-            comp.u.lo + (iv.lo - lo_b) * ctx.eps_inv,
-            comp.u.lo + (iv.hi - lo_b) * ctx.eps_inv,
-        )
+    """Unstable interval of the cell with the given forward word: the last
+    symbol's unstable extent pulled back through each transition map."""
+    iv = base.rects[future[-1]].u
+    for a, b in reversed(list(zip(future, future[1:]))):
+        iv = iv.scale(base.ctx.eps_inv).shift(-base.transition_translate(a, b))
     return iv
 
 
 def _fold_s(base: Partition, past: tuple[int, ...]) -> Iv:
     """Stable interval of the cell with the given backward word (oldest
-    symbol first), anchored in the footprint of its last symbol."""
-    ctx = base.ctx
+    symbol first): the oldest symbol's stable extent pushed forward
+    through each transition map."""
     iv = base.rects[past[0]].s
-    for i in range(len(past) - 1):
-        prev, cur = past[i], past[i + 1]
-        comp = base.component_preceding(cur, prev)
-        lo_b = base.rects[prev].s.lo
-        if ctx.eps_conj_sign > 0:
-            iv = Iv(
-                comp.s.lo + (iv.lo - lo_b) * ctx.eps_conj,
-                comp.s.lo + (iv.hi - lo_b) * ctx.eps_conj,
-            )
-        else:
-            # orientation-reversing: interval endpoints swap
-            iv = Iv(
-                comp.s.hi + (iv.hi - lo_b) * ctx.eps_conj,
-                comp.s.hi + (iv.lo - lo_b) * ctx.eps_conj,
-            )
+    for a, b in zip(past, past[1:]):
+        iv = iv.shift(base.transition_translate(a, b).conj()).scale(base.ctx.eps_conj)
     return iv
 
 

@@ -250,3 +250,50 @@ def periodize(s: Subshift, w, u=(), v=()) -> SymbolicPoint:
         left_pre=left_pre,
         left_loop=left_loop,
     )
+
+
+def random_itinerary(rng, partition) -> SymbolicPoint:
+    """A random eventually-periodic itinerary through the partition's
+    transition graph: two random cycles, looped on the left and on the
+    right, joined by a random centre path that a shortest path bridges
+    into the right cycle.  ``rng`` is a ``random.Random``."""
+
+    def walk(path, steps):
+        for _ in range(steps):
+            path.append(rng.choice(partition.successors(path[-1])))
+        return path
+
+    def cycle():
+        path = walk([rng.randrange(len(partition.rects))], rng.randint(0, 6))
+        while True:  # ends within len(rects) steps by pigeonhole
+            nxt = rng.choice(partition.successors(path[-1]))
+            if nxt in path:
+                return tuple(path[path.index(nxt) :])
+            path.append(nxt)
+
+    left, right = cycle(), cycle()
+    center = walk([rng.choice(partition.successors(left[-1]))], rng.randint(0, 6))
+    center += _bridge(partition, center[-1], right[0])
+    return SymbolicPoint(partition.level, tuple(center), (), right, (), left)
+
+
+def _bridge(partition, start: int, target: int) -> list[int]:
+    """Shortest list of symbols leading from ``start`` (excluded) to a
+    predecessor of ``target``, found breadth first."""
+    back = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            if partition.admissible(x, target):
+                path = []
+                while x != start:
+                    path.append(x)
+                    x = back[x]
+                return path[::-1]
+            for y in partition.successors(x):
+                if y not in back:
+                    back[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    raise ValueError(f"symbol {target} cannot be reached from {start}")

@@ -175,15 +175,25 @@ def certify_spectrum_point(ctx: FieldContext, partition: Partition, sp: Symbolic
     if best == 0:
         return best
 
-    warm = 6
-    for k in range(-warm, warm + 1):
+    fwd = _tail_start(ctx, info.forward_delta, ctx.eps_conj)
+    bwd = _tail_start(ctx, info.backward_delta, ctx.eps_inv)
+    for k in range(-(bwd - 1), fwd):
         v = _box_min(ctx, phi_su(ctx, su, k))
         if v is not None and v < best:
             best = v
 
-    best = _tail_min(ctx, info, forward=True, start=warm + 1, best=best)
-    best = _tail_min(ctx, info, forward=False, start=warm + 1, best=best)
+    best = _tail_min(ctx, info, forward=True, start=fwd, best=best)
+    best = _tail_min(ctx, info, forward=False, start=bwd, best=best)
     return best
+
+
+def _tail_start(ctx, delta, f) -> int:
+    """First orbit step k >= 7 from which the offset delta * f^k is within
+    the box half-width; the near orbit before it is searched box by box."""
+    k, x = 7, delta * f**7
+    while abs(x) > ctx.box_halfwidth:
+        k, x = k + 1, x * f
+    return k
 
 
 def _box_min(ctx, su):
@@ -220,14 +230,16 @@ def _tail_min(ctx, info, forward: bool, start: int, best):
         return best  # the orbit already is the torsion orbit
     period = len(orbit(ctx, torsion))
     classes = lcm(period, 2) if flips else period
-    shrink = (ctx.eps_conj if forward else ctx.eps_inv) ** classes  # sign-fixed
-    W = ctx.box_halfwidth
-    margin = W + abs(delta)
+    f = ctx.eps_conj if forward else ctx.eps_inv
+    shrink = f**classes  # sign-fixed
+    # a box representative at step k >= start sits within |delta * f^start|
+    # of a torsion representative on the moving axis
+    margin = ctx.box_halfwidth + abs(delta * f**start)
 
     for r in range(classes):
         k = start + r
         t_su = xy_to_su(ctx, phi_apply(ctx, torsion, k if forward else -k))
-        x0 = delta * ((ctx.eps_conj if forward else ctx.eps_inv) ** k)
+        x0 = delta * f**k
         for fixed_abs, moving in _torsion_reps(ctx, t_su, margin, forward):
             if moving == 0:
                 continue  # would force the torsion minimum to zero, handled above

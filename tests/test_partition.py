@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from eucdyn.geometry import Iv, Rect
+from eucdyn.geometry import Iv, Rect, phi_inv_rect, torus_components
 from eucdyn.partition import (
     MarkovError,
     base_rectangles,
@@ -46,7 +46,7 @@ def test_generator_d5_transitions(parts5):
     assert p0.admissible(0, 1) and p0.admissible(1, 0) and p0.admissible(1, 1)
     # each admissible transition is a single nonempty cell
     for i, j in ((0, 1), (1, 0), (1, 1)):
-        comp = p0.component_following(i, j)
+        [(_, comp)] = torus_components(p0.ctx, phi_inv_rect(p0.ctx, p0.rects[j]), p0.rects[i])
         assert comp.s.lo < comp.s.hi and comp.u.lo < comp.u.hi
 
 

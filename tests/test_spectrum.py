@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,18 @@ def test_certify_field_point_heteroclinic(ctx5, parts5):
     sp = SymbolicPoint(0, (1,), (), (1, 1, 0), (), (1, 1, 0))
     v = certify_spectrum_point(ctx5, parts5[0], sp)
     assert v == t_infinity(ctx5)
+
+
+def test_certify_large_tail_offset_is_fast(ctx2, parts2):
+    # the forward offset from the torsion orbit is about -41770, far wider
+    # than the search box; the tail search must start where the offset has
+    # shrunk into the box instead of widening the box by the full offset
+    text = "|5,13,2|6,16,10,25,21,11,28,26,23,14,5,12,1,4|10,25,19,6,16|"
+    sp = SymbolicPoint.from_text(text, level=1)
+    started = time.monotonic()
+    v = certify_spectrum_point(ctx2, parts2[1], sp)
+    assert time.monotonic() - started < 5
+    assert v == ctx2.elem(Fraction(-1820866, 287), Fraction(2575119, 574))
 
 
 def test_certify_homoclinic_is_zero(ctx5, parts5):
