@@ -18,7 +18,7 @@ from .partition import (
     verify_markov,
 )
 from .qfield import FieldContext, QElem, abs_norm, compare, make_context
-from .sft import Subshift, avoid, dimension, entropy, periodize
+from .sft import Subshift, avoid, dimension, entropy
 from .spectrum import (
     SpectrumSample,
     certify_spectrum_point,
@@ -75,7 +75,6 @@ __all__ = [
     "kpoint_collapse_order",
     "make_context",
     "orbit",
-    "periodize",
     "phi_apply",
     "pi_eval",
     "plateau_detect",

@@ -1,9 +1,12 @@
 """Subshifts of finite type over partition alphabets.
 
 A Subshift is the set of bi-infinite paths through a 0-1 transition
-matrix over a symbol set; symbols are coordinate words of a partition.
-Entropy is the log of the spectral radius of the essential transition
-matrix, computed per strongly connected component by shifted power
+graph over a symbol set; symbols are coordinate words of a partition.
+The graph is one sparse float64 CSR matrix built from the partition's
+word-overlap transitions, so its size grows with the number of edges
+(alphabet times the bounded out-degree), never with the alphabet
+squared.  Entropy is the log of the spectral radius of the essential
+graph, computed per strongly connected component by shifted power
 iteration with a two-sided Collatz-Wielandt certificate.  This is the
 only place floating point enters the pipeline; everything upstream is
 exact.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,17 +28,12 @@ from .qfield import FieldContext
 
 @dataclass
 class Subshift:
-    """Vertex shift on ``symbols`` with 0-1 ``matrix``; pruned to its
-    essential part (symbols lying on bi-infinite paths).
+    """Vertex shift on ``symbols`` with 0-1 adjacency ``graph`` (a float64
+    CSR matrix); pruned to its essential part (symbols lying on
+    bi-infinite paths)."""
 
-    ``source_ids`` maps each symbol back to the rectangle index in the
-    partition the subshift was built from.
-    """
-
-    level: int
     symbols: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
-    source_ids: tuple[int, ...] = ()
+    graph: csr_matrix
 
     @property
     def empty(self) -> bool:
@@ -44,41 +43,29 @@ class Subshift:
     def alphabet_size(self) -> int:
         return len(self.symbols)
 
-    def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self.matrix[i]))
-
     @staticmethod
     def from_matrix(matrix, symbols=None) -> "Subshift":
-        mat = np.asarray(matrix, dtype=bool)
-        n = mat.shape[0]
+        graph = csr_matrix(np.asarray(matrix, dtype=bool), dtype=float)
+        n = graph.shape[0]
         symbols = tuple(symbols) if symbols is not None else tuple((i,) for i in range(n))
-        return _pruned(Subshift(0, symbols, mat, tuple(range(n))))
+        return _pruned(Subshift(symbols, graph))
 
 
 def _pruned(s: Subshift) -> Subshift:
     """Restrict to symbols with arbitrarily long forward and backward
-    extensions (iterated removal of degree-zero symbols)."""
+    extensions (iterated removal of symbols with no successor or no
+    predecessor among the kept ones)."""
+    g = s.graph
+    gt = g.T
     keep = np.ones(len(s.symbols), dtype=bool)
-    changed = True
-    while changed:
-        changed = False
-        sub = s.matrix[np.ix_(keep, keep)]
-        if sub.size == 0:
+    while True:
+        mask = keep.astype(float)
+        alive = keep & (g @ mask > 0) & (gt @ mask > 0)
+        if np.array_equal(alive, keep):
             break
-        out_deg = sub.sum(axis=1)
-        in_deg = sub.sum(axis=0)
-        alive = (out_deg > 0) & (in_deg > 0)
-        if not alive.all():
-            idx = np.flatnonzero(keep)
-            keep[idx[~alive]] = False
-            changed = True
+        keep = alive
     idx = np.flatnonzero(keep)
-    return Subshift(
-        s.level,
-        tuple(s.symbols[i] for i in idx),
-        s.matrix[np.ix_(keep, keep)],
-        tuple(s.source_ids[i] for i in idx),
-    )
+    return Subshift(tuple(s.symbols[i] for i in idx), g[idx[:, None], idx])
 
 
 def avoid(partition, forbidden) -> Subshift:
@@ -104,14 +91,16 @@ def avoid(partition, forbidden) -> Subshift:
         else:
             raise ValueError(f"forbidden word {w} incompatible with level {n}")
     keep_ids = [i for i, w in enumerate(words) if w not in banned]
-    symbols = tuple(words[i] for i in keep_ids)
-    pos = {rid: k for k, rid in enumerate(keep_ids)}
-    mat = np.zeros((len(keep_ids), len(keep_ids)), dtype=bool)
-    for k, rid in enumerate(keep_ids):
-        for j in partition.successors(rid):
-            if j in pos:
-                mat[k, pos[j]] = True
-    return _pruned(Subshift(n, symbols, mat, tuple(keep_ids)))
+    m = len(keep_ids)
+    # position of each cell among the kept ones, -1 for a banned cell
+    pos = np.full(len(words), -1, dtype=np.int64)
+    pos[keep_ids] = np.arange(m)
+    succ = [partition.successors(i) for i in keep_ids]
+    rows = np.repeat(np.arange(m), [len(js) for js in succ])
+    cols = pos[np.fromiter(chain.from_iterable(succ), dtype=np.int64, count=len(rows))]
+    kept = cols >= 0
+    graph = csr_matrix((np.ones(int(kept.sum())), (rows[kept], cols[kept])), shape=(m, m))
+    return _pruned(Subshift(tuple(words[i] for i in keep_ids), graph))
 
 
 @dataclass(frozen=True)
@@ -126,12 +115,10 @@ class EntropyResult:
         return self.value
 
 
-def _spectral_radius_cw(mat: np.ndarray, tol: float, max_iter: int):
+def _spectral_radius_cw(a: csr_matrix, tol: float, max_iter: int):
     """Two-sided Collatz-Wielandt bracket for the Perron root of an
     irreducible 0-1 block, via power iteration on (A + I)."""
-    a = mat.astype(float)
-    n = a.shape[0]
-    x = np.ones(n)
+    x = np.ones(a.shape[0])
     best_lo, best_hi = 0.0, math.inf
     it = 0
     for it in range(1, max_iter + 1):
@@ -147,22 +134,23 @@ def _spectral_radius_cw(mat: np.ndarray, tol: float, max_iter: int):
 
 
 def entropy(s: Subshift, tol: float = 1e-12, max_iter: int = 100000) -> EntropyResult:
-    """log of the spectral radius of the essential transition matrix,
+    """log of the spectral radius of the essential transition graph,
     with a certified two-sided bracket; empty subshift is flagged and
     reported as entropy 0."""
     if s.empty:
         return EntropyResult(0.0, 0.0, 0.0, True, 0)
-    n_comp, labels = connected_components(
-        csr_matrix(s.matrix), directed=True, connection="strong"
-    )
-    # spectral radius of the whole matrix = max over its cyclic components
+    n_comp, labels = connected_components(s.graph, directed=True, connection="strong")
+    # each component's symbols in increasing order, components one after another
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=n_comp))
+    # spectral radius of the whole graph = max over its components; a
+    # nonempty essential graph has a cycle, so the radius is at least 1
     lo_all, hi_all, iters = 1.0, 1.0, 0
-    for c in range(n_comp):
-        idx = np.flatnonzero(labels == c)
-        sub = s.matrix[np.ix_(idx, idx)]
-        if len(idx) == 1 and not sub[0, 0]:
-            continue  # transient single symbol
-        lo, hi, it = _spectral_radius_cw(sub, tol, max_iter)
+    for start, end in zip(chain((0,), ends), ends):
+        idx = order[start:end]
+        if len(idx) == 1:
+            continue  # radius 0 or 1 (a loop), never above the floor
+        lo, hi, it = _spectral_radius_cw(s.graph[idx[:, None], idx], tol, max_iter)
         iters = max(iters, it)
         lo_all = max(lo_all, lo)
         hi_all = max(hi_all, hi)
@@ -184,72 +172,6 @@ def dimension(h, ctx: FieldContext) -> float:
             raise ValueError(f"dimension bound {d} exceeds 2 beyond tolerance")
         d = 2.0
     return d
-
-
-def periodize(s: Subshift, w, u=(), v=()) -> SymbolicPoint:
-    """An eventually-periodic bi-infinite element of the subshift that
-    contains ``w``, obtained by looping a repeated symbol found in each
-    flank (extending the flanks through the graph when they carry no
-    repeat yet); fails if ``w`` has no bi-infinite extension."""
-    w, u, v = tuple(w), tuple(u), tuple(v)
-    if not w:
-        raise ValueError("empty word")
-    ids = {rid: k for k, rid in enumerate(s.source_ids)}
-    path = u + w + v
-    for sym in path:
-        if sym not in ids:
-            raise ValueError(f"symbol {sym} not in the subshift")
-    for a, b in zip(path, path[1:]):
-        if not s.matrix[ids[a], ids[b]]:
-            raise ValueError(f"word {path} is not admissible")
-
-    def succs(sym):
-        return [s.source_ids[int(j)] for j in np.flatnonzero(s.matrix[ids[sym]])]
-
-    def preds(sym):
-        return [s.source_ids[int(j)] for j in np.flatnonzero(s.matrix[:, ids[sym]])]
-
-    def first_repeat(seq):
-        seen = {}
-        for i2, sym in enumerate(seq):
-            if sym in seen:
-                return seen[sym], i2
-            seen[sym] = i2
-        return None
-
-    cap = len(s.symbols) + 1
-    left = list(u)
-    while first_repeat(left) is None:
-        head = left[0] if left else w[0]
-        p = preds(head)
-        if not p:
-            raise ValueError("word does not extend bi-infinitely (left)")
-        left.insert(0, min(p))
-        if len(left) > 2 * cap:
-            raise AssertionError("pigeonhole failure")
-    i1, i2 = first_repeat(left)
-    left_loop, left_pre = tuple(left[i1:i2]), tuple(left[i2:])
-
-    right = list(v)
-    while first_repeat(right) is None:
-        tail = right[-1] if right else w[-1]
-        nxt = succs(tail)
-        if not nxt:
-            raise ValueError("word does not extend bi-infinitely (right)")
-        right.append(min(nxt))
-        if len(right) > 2 * cap:
-            raise AssertionError("pigeonhole failure")
-    i1, i2 = first_repeat(right)
-    right_pre, right_loop = tuple(right[: i1 + 1]), tuple(right[i1 + 1 : i2 + 1])
-
-    return SymbolicPoint(
-        level=s.level,
-        center=w,
-        right_pre=right_pre,
-        right_loop=right_loop,
-        left_pre=left_pre,
-        left_loop=left_loop,
-    )
 
 
 def random_itinerary(rng, partition) -> SymbolicPoint:

@@ -1,5 +1,8 @@
+import csv
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,22 @@ def test_curve_row_count_and_determinism(tmp_path):
     assert out1.read_text() == out2.read_text()
     manifest = json.loads((tmp_path / "a.json").read_text())
     assert manifest["D"] == 5 and manifest["grid"]["size"] == 31
+
+
+def test_curve_d3_n3_matches_reference(tmp_path):
+    # D=3 level 3 has 21,728 cells, beyond the benchmark configs; the
+    # float columns depend on the power iteration's summation order, so
+    # they are compared to 1e-12 relative and the exact ones byte for byte
+    out = tmp_path / "c.csv"
+    assert main(["curve", "--D", "3", "--n", "3", "--out", str(out)]) == 0
+    ref_text = (Path(__file__).parent / "data" / "curve_D3_n3.csv").read_text()
+    ref = list(csv.reader(ref_text.splitlines()))
+    got = list(csv.reader(out.read_text().splitlines()))
+    assert len(got) == len(ref) == 32 and got[0] == ref[0]
+    for r, g in zip(ref[1:], got[1:]):
+        assert g[:5] + g[7:] == r[:5] + r[7:]  # t_num .. alphabet_size, empty_flag
+        for k in (5, 6):  # entropy, dim_upper
+            assert math.isclose(float(g[k]), float(r[k]), rel_tol=1e-12)
 
 
 def test_curve_rejects_non_squarefree(tmp_path, capsys):

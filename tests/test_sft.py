@@ -1,10 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eucdyn.sft import Subshift, avoid, dimension, entropy, periodize
+from eucdyn.partition import refine
+from eucdyn.sft import Subshift, avoid, dimension, entropy
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -12,7 +14,7 @@ LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 def test_golden_mean_matrix(parts5):
     s = avoid(parts5[0], [])
     assert s.symbols == ((0,), (1,))
-    assert s.matrix.astype(int).tolist() == [[0, 1], [1, 1]]
+    assert s.graph.toarray().astype(int).tolist() == [[0, 1], [1, 1]]
 
 
 def test_golden_mean_entropy(parts5):
@@ -32,8 +34,22 @@ def test_entropy_against_eigvals_oracle():
         if s.empty:
             assert e.empty and e.value == 0.0
             continue
-        rho = max(abs(np.linalg.eigvals(s.matrix.astype(float))))
+        rho = max(abs(np.linalg.eigvals(s.graph.toarray())))
         assert abs(e.value - math.log(max(rho, 1.0))) < 1e-9
+
+
+def test_pruning_keeps_exactly_the_bi_infinite_symbols():
+    # with n symbols, i lies on a bi-infinite path iff some path of n
+    # steps ends at i and some path of n steps starts at i (pigeonhole)
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        mat = np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)])
+        power = np.linalg.matrix_power(mat.astype(np.int64), n)
+        essential = [i for i in range(n) if power[:, i].any() and power[i, :].any()]
+        s = Subshift.from_matrix(mat)
+        assert s.symbols == tuple((i,) for i in essential)
+        assert (s.graph.toarray() == mat[np.ix_(essential, essential)]).all()
 
 
 def test_permutation_cycle_entropy():
@@ -80,11 +96,23 @@ def test_dimension_full_shift_is_two(parts5, ctx5):
     assert abs(dimension(e.value, ctx5) - 2.0) < 1e-9
 
 
-@pytest.mark.parametrize("n, alphabet", [(0, 2), (1, 5), (2, 13), (3, 34)])
+@pytest.mark.parametrize("n, alphabet", [(0, 2), (1, 5), (2, 13), (3, 34), (8, 4181)])
 def test_full_shift_entropy_every_level(parts5, n, alphabet):
-    s = avoid(parts5[n], [])
+    p = parts5[min(n, 3)]
+    while p.level < n:
+        p = refine(p)
+    tracemalloc.start()
+    try:
+        s = avoid(p, [])
+        e = entropy(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert s.alphabet_size == alphabet
-    assert abs(entropy(s).value - LOG_PHI) < 1e-10
+    assert abs(e.value - LOG_PHI) < 1e-10
+    # the graph has O(alphabet) edges; a dense m x m matrix at level 8
+    # (4181 symbols) would take over 100 MB
+    assert peak < 16 * 2**20
 
 
 def test_forbidden_word_entropy_stable_under_refinement(parts5):
@@ -108,44 +136,3 @@ def test_entropy_monotone_under_symbol_removal(parts5):
         removed = rng.sample(words, rng.randint(1, 4))
         h = entropy(avoid(p2, removed)).value
         assert h <= h_full + 1e-10
-
-
-def test_periodize_golden(parts5):
-    s = avoid(parts5[0], [])
-    sp = periodize(s, (1, 1), (1,), (1,))
-    # contains the word and is admissible throughout
-    assert sp.center == (1, 1)
-    span = range(-8, 8)
-    for k in span:
-        a, b = sp.symbol(k), sp.symbol(k + 1)
-        assert not (a == 0 and b == 0)
-    # pigeonhole bound on the loops
-    assert len(sp.left_loop) <= s.alphabet_size + 1
-    assert len(sp.right_loop) <= s.alphabet_size + 1
-
-
-def test_periodize_fixed_string_unchanged(parts5):
-    s = avoid(parts5[0], [])
-    sp = periodize(s, (1, 1), (1, 1), (1, 1))
-    assert sp.left_loop == (1,) and sp.right_loop == (1,)
-    assert all(sp.symbol(k) == 1 for k in range(-9, 9))
-
-
-def test_periodize_rejects_bad_input(parts5):
-    s = avoid(parts5[0], [])
-    with pytest.raises(ValueError):
-        periodize(s, (0, 0))
-    with pytest.raises(ValueError):
-        periodize(s, (7,))
-
-
-def test_periodize_lives_in_subshift(parts5):
-    s2 = avoid(parts5[2], [])
-    ids = set(s2.source_ids)
-    w = (s2.source_ids[0],)
-    sp = periodize(s2, w)
-    pos = {rid: k for k, rid in enumerate(s2.source_ids)}
-    for k in range(-20, 20):
-        assert sp.symbol(k) in ids
-        assert s2.matrix[pos[sp.symbol(k)], pos[sp.symbol(k + 1)]]
-
