@@ -38,13 +38,7 @@ from .torus import (
     su_to_xy,
     xy_to_su,
 )
-from .trapping import (
-    TrapConfig,
-    big_rectangle,
-    i_k_set,
-    rect_trapped_single,
-    trapped_set,
-)
+from .trapping import big_rectangle, i_k_set
 
 __all__ = [
     "FieldContext",
@@ -57,7 +51,6 @@ __all__ = [
     "SpectrumSample",
     "Subshift",
     "SymbolicPoint",
-    "TrapConfig",
     "abs_norm",
     "avoid",
     "base_rectangles",
@@ -79,10 +72,8 @@ __all__ = [
     "pi_eval",
     "plateau_detect",
     "refine",
-    "rect_trapped_single",
     "su_to_xy",
     "t_infinity",
-    "trapped_set",
     "verify_markov",
     "xy_to_su",
 ]

@@ -3,7 +3,8 @@
 Thresholds and grids are rational end to end (``p/q`` or exact decimal
 strings), so reruns of the same configuration produce byte-identical
 CSV.  Exit codes: 0 success, 2 configuration error (including an
-``--m1-bound`` too small to certify an M(P) search), 3 mathematical
+``--m1-bound`` too small to certify an M(P) search, a ``curve`` grid
+starting at t <= 0 and a negative ``--i-extra``), 3 mathematical
 verification failure, 4 I/O failure.
 """
 
@@ -35,7 +36,6 @@ class RunConfig:
     t_max: Fraction = Fraction(1, 4)
     t_step: Fraction = Fraction(1, 200)
     m1_bound: Fraction | None = None
-    denom_cap: int = 8
     i_extra: int = 0
     output: str | None = None
     manifest: str | None = None
@@ -46,10 +46,14 @@ class RunConfig:
         if self.command == "curve":
             if not self.t_min < self.t_max:
                 raise ValueError("empty threshold grid")
+            if self.t_min <= 0:
+                raise ValueError("thresholds must be positive")
             if self.t_step <= 0:
                 raise ValueError("step must be positive")
         if self.n < 0:
             raise ValueError("refinement level must be >= 0")
+        if self.i_extra < 0:
+            raise ValueError("--i-extra must be >= 0")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -242,25 +246,17 @@ def cmd_verify(cfg: RunConfig) -> int:
                     m = euclidean_min_qpoint(ctx, p)
                     if m == 0:
                         continue
-                    trapped_words = {
-                        part.rects[i].word
-                        for i, th in enumerate(thresholds)
-                        if th is not None and th < m
-                    }
+                    banned = set(trapping.trapped(thresholds, m))
                     for spx in coding.code_qpoint(part, p):
-                        seen = {
-                            part.rects[spx.symbol(k)].word
-                            for k in range(len(spx.right_loop) + len(spx.center) + len(spx.right_pre))
-                        }
-                        if seen & trapped_words:
+                        span = len(spx.right_loop) + len(spx.center) + len(spx.right_pre)
+                        if any(spx.symbol(k) in banned for k in range(span)):
                             return False, f"trapped word in coding of {p}"
         return True, "denominators 1..3"
 
     check("trapping soundness", soundness)
 
     def straddle():
-        cfg_t = trapping.TrapConfig(Fraction(3, 20), tuple(points), part.level)
-        cands = trapping.straddling(part, cfg_t, thresholds)
+        cands = trapping.straddling(part, points, Fraction(3, 20), thresholds)
         return True, f"{len(cands)} straddling candidates at t=3/20"
 
     check("single-point trapping diagnostic", straddle)

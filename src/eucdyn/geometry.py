@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .qfield import FieldContext, QElem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iv:
     """Closed interval [lo, hi] with exact endpoints; used openly where noted."""
 
@@ -40,7 +40,7 @@ class Iv:
         return self.lo == other.lo and self.hi == other.hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rect:
     """Plane rectangle s x u; ``word`` is its coordinate word when it
     belongs to a partition (a tuple of generator symbol indices)."""

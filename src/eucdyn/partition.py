@@ -18,10 +18,11 @@ Each admissible pair (a, b) has one lattice point q_ab: the single
 component of A_a meet phi^{-1}(A_b) is (phi^{-1}(A_b) - (conj q_ab, q_ab))
 meet A_a, so the transition map T_ab(P) = phi(P + (conj q_ab, q_ab))
 carries it across A_b.  Level-n cells are labelled by admissible words of
-generator symbols; the rectangle of a word is folded through these maps
-onto the central cell's footprint, the unstable extent pulled back along
-the future symbols and the stable extent pushed forward along the past
-ones.
+generator symbols.  A cell is the product of a stable interval, which
+depends only on its past (the symbols up to the central one), and an
+unstable interval, which depends only on its future (the symbols from
+the central one on); ``refine`` takes each new past and each new future
+one transition map step from a cell of the level before.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from .geometry import Iv, Rect, covers_exactly, phi_inv_rect, torus_components
 from .qfield import FieldContext, QElem
@@ -92,6 +98,15 @@ class Partition:
             for j in self.successors(i):
                 yield i, j
 
+    @cached_property
+    def graph(self) -> csr_matrix:
+        """The 0-1 transition matrix as a float64 CSR matrix, built once."""
+        succ = [self.successors(i) for i in range(len(self.rects))]
+        indptr = np.cumsum([0] + [len(js) for js in succ])
+        indices = np.fromiter(chain.from_iterable(succ), dtype=np.int64, count=indptr[-1])
+        n = len(succ)
+        return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
     def _build_transitions(self):
         n = len(self.rects)
         if self.level == 0:
@@ -149,10 +164,6 @@ class Partition:
         for r in self.rects:
             total = total + r.area()
         return total
-
-    @property
-    def words(self):
-        return [r.word for r in self.rects]
 
     # -- serialization ---------------------------------------------------------
 
@@ -227,8 +238,12 @@ def _lattice_key(ctx: FieldContext, q: QElem):
 
 def refine(p: Partition) -> Partition:
     """Level n+1 from level n: extend every admissible word one symbol on
-    each side and fold the transition maps onto the new word."""
-    base = p.base
+    each side.  The child with word w takes its stable interval one map
+    step forward from the cell w[:-2] (the same past without its newest
+    symbol) and its unstable interval one map step back from the cell
+    w[2:]; both are computed once per past and per future word, so cells
+    with a common past or future share the interval."""
+    base, ctx = p.base, p.ctx
     preds: dict[int, list[int]] = {i: [] for i in range(len(base.rects))}
     for i, j in base.transitions():
         preds[j].append(i)
@@ -240,30 +255,23 @@ def refine(p: Partition) -> Partition:
                 new_words.append((a,) + w + (b,))
     new_words.sort()
     level = p.level + 1
-    rects = [
-        Rect(_fold_s(base, w[: level + 1]), _fold_u(base, w[level:]), w)
-        for w in new_words
-    ]
-    return Partition(p.ctx, level, rects, base=base, parent=p)
-
-
-def _fold_u(base: Partition, future: tuple[int, ...]) -> Iv:
-    """Unstable interval of the cell with the given forward word: the last
-    symbol's unstable extent pulled back through each transition map."""
-    iv = base.rects[future[-1]].u
-    for a, b in reversed(list(zip(future, future[1:]))):
-        iv = iv.scale(base.ctx.eps_inv).shift(-base.transition_translate(a, b))
-    return iv
-
-
-def _fold_s(base: Partition, past: tuple[int, ...]) -> Iv:
-    """Stable interval of the cell with the given backward word (oldest
-    symbol first): the oldest symbol's stable extent pushed forward
-    through each transition map."""
-    iv = base.rects[past[0]].s
-    for a, b in zip(past, past[1:]):
-        iv = iv.shift(base.transition_translate(a, b).conj()).scale(base.ctx.eps_conj)
-    return iv
+    stable: dict[tuple[int, ...], Iv] = {}
+    unstable: dict[tuple[int, ...], Iv] = {}
+    rects = []
+    for w in new_words:
+        past, future = w[: level + 1], w[level:]
+        s = stable.get(past)
+        if s is None:
+            q = base.transition_translate(w[level - 1], w[level])
+            s = p.rects[p.word_index[w[:-2]]].s.shift(q.conj()).scale(ctx.eps_conj)
+            stable[past] = s
+        u = unstable.get(future)
+        if u is None:
+            q = base.transition_translate(w[level], w[level + 1])
+            u = p.rects[p.word_index[w[2:]]].u.scale(ctx.eps_inv).shift(-q)
+            unstable[future] = u
+        rects.append(Rect(s, u, w))
+    return Partition(ctx, level, rects, base=base, parent=p)
 
 
 def verify_markov(p: Partition, disjointness: str = "auto") -> MarkovReport:

@@ -1,12 +1,12 @@
 """Subshifts of finite type over partition alphabets.
 
 A Subshift is the set of bi-infinite paths through a 0-1 transition
-graph over a symbol set; symbols are coordinate words of a partition.
-The graph is one sparse float64 CSR matrix built from the partition's
-word-overlap transitions, so its size grows with the number of edges
-(alphabet times the bounded out-degree), never with the alphabet
-squared.  Entropy is the log of the spectral radius of the essential
-graph, computed per strongly connected component by shifted power
+graph over a symbol set; symbols are cell indices of a partition.  The
+graph is one sparse float64 CSR matrix cut from the partition's
+transition graph, so its size grows with the number of edges (alphabet
+times the bounded out-degree), never with the alphabet squared.
+Entropy is the log of the spectral radius of the essential graph,
+computed per strongly connected component by shifted power
 iteration with a two-sided Collatz-Wielandt certificate.  This is the
 only place floating point enters the pipeline; everything upstream is
 exact.
@@ -28,11 +28,11 @@ from .qfield import FieldContext
 
 @dataclass
 class Subshift:
-    """Vertex shift on ``symbols`` with 0-1 adjacency ``graph`` (a float64
-    CSR matrix); pruned to its essential part (symbols lying on
-    bi-infinite paths)."""
+    """Vertex shift on ``symbols`` (an int array of cell indices, in
+    increasing order) with 0-1 adjacency ``graph`` (a float64 CSR matrix);
+    pruned to its essential part (symbols lying on bi-infinite paths)."""
 
-    symbols: tuple[tuple[int, ...], ...]
+    symbols: np.ndarray
     graph: csr_matrix
 
     @property
@@ -44,63 +44,36 @@ class Subshift:
         return len(self.symbols)
 
     @staticmethod
-    def from_matrix(matrix, symbols=None) -> "Subshift":
+    def from_matrix(matrix) -> "Subshift":
         graph = csr_matrix(np.asarray(matrix, dtype=bool), dtype=float)
-        n = graph.shape[0]
-        symbols = tuple(symbols) if symbols is not None else tuple((i,) for i in range(n))
-        return _pruned(Subshift(symbols, graph))
+        return _pruned(graph, np.ones(graph.shape[0], dtype=bool))
 
 
-def _pruned(s: Subshift) -> Subshift:
-    """Restrict to symbols with arbitrarily long forward and backward
-    extensions (iterated removal of symbols with no successor or no
-    predecessor among the kept ones)."""
-    g = s.graph
-    gt = g.T
-    keep = np.ones(len(s.symbols), dtype=bool)
+def _pruned(graph: csr_matrix, keep: np.ndarray) -> Subshift:
+    """The subshift on the kept symbols, restricted to those with
+    arbitrarily long forward and backward extensions (iterated removal of
+    symbols with no successor or no predecessor among the kept ones)."""
+    gt = graph.T
     while True:
         mask = keep.astype(float)
-        alive = keep & (g @ mask > 0) & (gt @ mask > 0)
+        alive = keep & (graph @ mask > 0) & (gt @ mask > 0)
         if np.array_equal(alive, keep):
             break
         keep = alive
     idx = np.flatnonzero(keep)
-    return Subshift(tuple(s.symbols[i] for i in idx), g[idx[:, None], idx])
+    return Subshift(idx, graph[idx[:, None], idx])
 
 
-def avoid(partition, forbidden) -> Subshift:
-    """The subshift of the partition's full shift avoiding the forbidden
-    rectangles (given as Rects or coordinate words; coarser words are
-    decomposed into the level-n words refining them)."""
-    words = partition.words
-    n = partition.level
-    banned: set[tuple[int, ...]] = set()
-    for item in forbidden:
-        w = tuple(item.word) if hasattr(item, "word") else tuple(item)
-        if len(w) == 2 * n + 1:
-            if w not in partition.word_index:
-                raise ValueError(f"forbidden word {w} not in the alphabet")
-            banned.add(w)
-        elif len(w) < 2 * n + 1 and len(w) % 2 == 1:
-            m = (len(w) - 1) // 2
-            off = n - m
-            hits = [v for v in words if v[off : off + len(w)] == w]
-            if not hits:
-                raise ValueError(f"forbidden word {w} matches no cell")
-            banned.update(hits)
-        else:
-            raise ValueError(f"forbidden word {w} incompatible with level {n}")
-    keep_ids = [i for i, w in enumerate(words) if w not in banned]
-    m = len(keep_ids)
-    # position of each cell among the kept ones, -1 for a banned cell
-    pos = np.full(len(words), -1, dtype=np.int64)
-    pos[keep_ids] = np.arange(m)
-    succ = [partition.successors(i) for i in keep_ids]
-    rows = np.repeat(np.arange(m), [len(js) for js in succ])
-    cols = pos[np.fromiter(chain.from_iterable(succ), dtype=np.int64, count=len(rows))]
-    kept = cols >= 0
-    graph = csr_matrix((np.ones(int(kept.sum())), (rows[kept], cols[kept])), shape=(m, m))
-    return _pruned(Subshift(tuple(words[i] for i in keep_ids), graph))
+def avoid(partition, banned=()) -> Subshift:
+    """The subshift of the partition's full shift avoiding the banned
+    cells, given by index."""
+    n = len(partition.rects)
+    ids = np.fromiter(banned, dtype=np.int64)
+    if len(ids) and not (0 <= ids.min() and ids.max() < n):
+        raise ValueError(f"banned cell indices must lie in 0..{n - 1}")
+    keep = np.ones(n, dtype=bool)
+    keep[ids] = False
+    return _pruned(partition.graph, keep)
 
 
 @dataclass(frozen=True)

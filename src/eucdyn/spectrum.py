@@ -29,7 +29,7 @@ from .torus import (
     su_to_xy,
     xy_to_su,
 )
-from .trapping import big_rectangle, trap_thresholds
+from .trapping import big_rectangle, trap_thresholds, trapped
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,14 @@ def dim_curve(
     thresholds = trap_thresholds(partition, points)
 
     def sample(t: Fraction) -> SpectrumSample:
-        trapped = [
-            partition.rects[i]
-            for i, th in enumerate(thresholds)
-            if th is not None and th < t
-        ]
-        shift = sft.avoid(partition, trapped)
+        banned = trapped(thresholds, t)
+        shift = sft.avoid(partition, banned)
         ent = sft.entropy(shift)
         dim = sft.dimension(ent.value, ctx)
         return SpectrumSample(
             t=Fraction(t),
             n=n,
-            trapped_count=len(trapped),
+            trapped_count=len(banned),
             alphabet_size=shift.alphabet_size,
             entropy=ent.value,
             dim_upper=dim,

@@ -19,23 +19,9 @@ positive length the least value is below the largest.  So pruning is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .geometry import Iv, Rect, lattice_in_box
 from .partition import Partition
 from .qfield import FieldContext, QElem
-
-
-@dataclass(frozen=True)
-class TrapConfig:
-    t: Fraction
-    points: tuple[QElem, ...]
-    n: int
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("threshold must be positive")
 
 
 def big_rectangle(ctx: FieldContext) -> Rect:
@@ -77,12 +63,6 @@ def _gap(iv: Iv, z: QElem):
     return 0
 
 
-def rect_trapped_single(a: Rect, q: QElem, t) -> bool:
-    """True iff the closed cell lies strictly inside the norm-t
-    neighborhood of the lattice point q; exact, ties excluded."""
-    return corner_sup(a, q) < t
-
-
 def trap_threshold(a: Rect, points) -> QElem | None:
     """Least corner supremum over the lattice points: the cell is trapped
     at threshold t exactly when this value is < t.  None without points."""
@@ -118,31 +98,26 @@ def trap_thresholds(partition: Partition, points) -> list[QElem | None]:
     return thresholds
 
 
-def trapped_set(partition: Partition, cfg: TrapConfig) -> list[Rect]:
-    """Cells of the partition whose closure is trapped by some single
-    lattice point of the configuration at threshold cfg.t."""
-    if partition.level != cfg.n:
-        raise ValueError(f"partition level {partition.level} != cfg.n={cfg.n}")
+def trapped(thresholds, t) -> list[int]:
+    """Indices of the cells trapped at threshold t: those whose threshold
+    (from ``trap_thresholds``) is below t, ties excluded.  A cell with
+    threshold None (no lattice points) is never trapped."""
+    return [i for i, th in enumerate(thresholds) if th is not None and th < t]
+
+
+def straddling(partition: Partition, points, t, thresholds) -> list[int]:
+    """Diagnostic: indices of the cells not trapped at t by any single
+    lattice point although each corner is below t for some point; these
+    are the only candidates on which joint-neighborhood trapping could do
+    better.  ``thresholds`` is ``trap_thresholds(partition, points)``."""
+    pairs = [(q.conj(), q) for q in points]
+    skip = set(trapped(thresholds, t))
     return [
-        a
-        for a, th in zip(partition.rects, trap_thresholds(partition, cfg.points))
-        if th is not None and th < cfg.t
-    ]
-
-
-def straddling(partition: Partition, cfg: TrapConfig, thresholds) -> list[Rect]:
-    """Diagnostic: cells not trapped by any single lattice point although
-    each corner is below threshold for some point; these are the only
-    candidates on which joint-neighborhood trapping could do better.
-    ``thresholds`` is ``trap_thresholds(partition, cfg.points)``."""
-    pairs = [(q.conj(), q) for q in cfg.points]
-    out = []
-    for a, th in zip(partition.rects, thresholds):
-        if th is not None and th < cfg.t:
-            continue
-        if all(
-            any(abs(cs - qs) * abs(cu - q) < cfg.t for qs, q in pairs)
+        i
+        for i, a in enumerate(partition.rects)
+        if i not in skip
+        and all(
+            any(abs(cs - qs) * abs(cu - q) < t for qs, q in pairs)
             for cs, cu in a.corners()
-        ):
-            out.append(a)
-    return out
+        )
+    ]

@@ -82,6 +82,24 @@ def test_curve_rejects_empty_grid(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("grid", ["-1/10:1/4:1/20", "0:1/4:1/20"])
+def test_curve_rejects_nonpositive_threshold(tmp_path, capsys, grid):
+    out = tmp_path / "x.csv"
+    rc = main(["curve", "--D", "5", "--n", "1", f"--t={grid}", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["curve", "ik-dump"])
+def test_rejects_negative_i_extra(tmp_path, capsys, command):
+    out = tmp_path / "x.out"
+    rc = main([command, "--D", "5", "--i-extra", "-3", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_minima_table(capsys):
     assert main(["minima", "--D", "5", "--count", "3"]) == 0
     out = capsys.readouterr().out

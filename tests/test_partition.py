@@ -83,6 +83,43 @@ def test_refinement_nesting(parts5):
             assert parent.u.lo <= r.u.lo and r.u.hi <= parent.u.hi
 
 
+def _fold_s(base, past):
+    """Stable interval of a past word (oldest symbol first), pushed
+    forward from level 0 through every transition map."""
+    iv = base.rects[past[0]].s
+    for a, b in zip(past, past[1:]):
+        iv = iv.shift(base.transition_translate(a, b).conj()).scale(base.ctx.eps_conj)
+    return iv
+
+
+def _fold_u(base, future):
+    """Unstable interval of a future word, pulled back from level 0
+    through every transition map."""
+    iv = base.rects[future[-1]].u
+    for a, b in reversed(list(zip(future, future[1:]))):
+        iv = iv.scale(base.ctx.eps_inv).shift(-base.transition_translate(a, b))
+    return iv
+
+
+@pytest.mark.parametrize("D, top", [(2, 2), (3, 2), (5, 6), (6, 2), (7, 2), (13, 2)])
+def test_refine_matches_folds_from_level_0(D, top):
+    # refine takes one map step per new past and future; folding the
+    # whole word from level 0 must give the same exact endpoints
+    p = base = generator(make_context(D))
+    while p.level < top:
+        p = refine(p)
+        n = p.level
+        pasts, futures = {}, {}
+        for r in p.rects:
+            past, future = r.word[: n + 1], r.word[n:]
+            if past not in pasts:
+                pasts[past] = _fold_s(base, past)
+            if future not in futures:
+                futures[future] = _fold_u(base, future)
+            s, u = pasts[past], futures[future]
+            assert (r.s.lo, r.s.hi, r.u.lo, r.u.hi) == (s.lo, s.hi, u.lo, u.hi), r.word
+
+
 def test_unstable_length_shrinks(parts5, ctx5):
     base_max = max((r.u.length() for r in parts5[0].rects), key=float)
     for n, p in enumerate(parts5):

@@ -13,7 +13,7 @@ LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
 def test_golden_mean_matrix(parts5):
     s = avoid(parts5[0], [])
-    assert s.symbols == ((0,), (1,))
+    assert s.symbols.tolist() == [0, 1]
     assert s.graph.toarray().astype(int).tolist() == [[0, 1], [1, 1]]
 
 
@@ -48,7 +48,7 @@ def test_pruning_keeps_exactly_the_bi_infinite_symbols():
         power = np.linalg.matrix_power(mat.astype(np.int64), n)
         essential = [i for i in range(n) if power[:, i].any() and power[i, :].any()]
         s = Subshift.from_matrix(mat)
-        assert s.symbols == tuple((i,) for i in essential)
+        assert s.symbols.tolist() == essential
         assert (s.graph.toarray() == mat[np.ix_(essential, essential)]).all()
 
 
@@ -59,7 +59,7 @@ def test_permutation_cycle_entropy():
 
 
 def test_forbid_everything(parts5):
-    s = avoid(parts5[0], [(0,), (1,)])
+    s = avoid(parts5[0], [0, 1])
     assert s.empty
     e = entropy(s)
     assert e.empty and e.value == 0.0
@@ -68,20 +68,15 @@ def test_forbid_everything(parts5):
 
 def test_forbid_the_long_cell_gives_empty(parts5):
     # with the short cell unable to follow itself nothing bi-infinite remains
-    s = avoid(parts5[0], [(1,)])
+    s = avoid(parts5[0], [1])
     assert s.empty
 
 
-def test_avoid_decomposes_coarser_words(parts5):
-    p2 = parts5[2]
-    s = avoid(p2, [(1,)])
-    # forbidding the level-0 cell kills every word with it in the middle
-    assert all(w[2] != 1 for w in s.symbols)
-
-
 def test_avoid_rejects_unknown_words(parts5):
-    with pytest.raises(ValueError):
-        avoid(parts5[1], [(0, 0, 0)])
+    p1 = parts5[1]
+    for bad in (-1, len(p1.rects)):
+        with pytest.raises(ValueError):
+            avoid(p1, [0, bad])
 
 
 def test_dimension_edges(ctx5):
@@ -116,11 +111,18 @@ def test_full_shift_entropy_every_level(parts5, n, alphabet):
 
 
 def test_forbidden_word_entropy_stable_under_refinement(parts5):
-    # forbidding the level-1 word (1, 1, 1) at levels 1..3 bans the same
-    # points: golden-mean strings without 111, i.e. concatenations of 10
-    # and 110, whose entropy is log of the real root of x^3 = x + 1
+    # forbidding the cells whose central three symbols are (1, 1, 1) at
+    # levels 1..3 bans the same points: golden-mean strings without 111,
+    # i.e. concatenations of 10 and 110, whose entropy is log of the real
+    # root of x^3 = x + 1
     plastic = max(r.real for r in np.roots([1, 0, -1, -1]) if abs(r.imag) < 1e-12)
-    h1, h2, h3 = (entropy(avoid(parts5[n], [(1, 1, 1)])).value for n in (1, 2, 3))
+
+    def h(n):
+        p = parts5[n]
+        banned = [i for i, r in enumerate(p.rects) if r.word[n - 1 : n + 2] == (1, 1, 1)]
+        return entropy(avoid(p, banned)).value
+
+    h1, h2, h3 = (h(n) for n in (1, 2, 3))
     assert abs(h1 - math.log(plastic)) < 1e-10
     assert abs(h2 - h1) < 1e-10
     assert abs(h3 - h1) < 1e-10
@@ -131,8 +133,7 @@ def test_entropy_monotone_under_symbol_removal(parts5):
     p2 = parts5[2]
     full = avoid(p2, [])
     h_full = entropy(full).value
-    words = list(p2.word_index)
     for _ in range(10):
-        removed = rng.sample(words, rng.randint(1, 4))
+        removed = rng.sample(range(len(p2.rects)), rng.randint(1, 4))
         h = entropy(avoid(p2, removed)).value
         assert h <= h_full + 1e-10

@@ -7,15 +7,13 @@ from eucdyn.partition import Partition, refine
 from eucdyn.qfield import make_context
 from eucdyn.sft import avoid, dimension, entropy
 from eucdyn.trapping import (
-    TrapConfig,
     big_rectangle,
     corner_sup,
     i_k_set,
-    rect_trapped_single,
     straddling,
     trap_threshold,
     trap_thresholds,
-    trapped_set,
+    trapped,
 )
 
 FIELD_CHAINS = ("parts2", "parts3", "parts5", "parts13")
@@ -42,10 +40,11 @@ def test_trapped_single_examples(ctx5):
     a = _unit_rect(ctx5, Fraction(1, 10), Fraction(2, 10), Fraction(1, 10), Fraction(2, 10))
     zero = ctx5.elem(0)
     assert corner_sup(a, zero) == ctx5.elem(Fraction(1, 25))
-    assert rect_trapped_single(a, zero, Fraction(1, 20))
-    assert not rect_trapped_single(a, zero, Fraction(1, 25))  # tie excluded
+    assert trapped([corner_sup(a, zero)], Fraction(1, 20)) == [0]
+    assert trapped([corner_sup(a, zero)], Fraction(1, 25)) == []  # tie excluded
     b = _unit_rect(ctx5, -1, 1, -1, 1)
-    assert not rect_trapped_single(b, zero, Fraction(1, 2))
+    assert trapped([corner_sup(b, zero)], Fraction(1, 2)) == []
+    assert trapped([None], Fraction(1, 2)) == []  # no lattice points
 
 
 def test_i_k_set_basics(ctx5, parts5):
@@ -73,21 +72,18 @@ def test_i_k_monotone_in_bound(parts5):
 
 
 def test_trapped_set_monotone_in_t(ctx5, parts5):
-    points = tuple(i_k_set(ctx5, parts5[0]))
-    p2 = parts5[2]
-    t_small = trapped_set(p2, TrapConfig(Fraction(3, 20), points, 2))
-    t_big = trapped_set(p2, TrapConfig(Fraction(1, 4), points, 2))
-    assert {r.word for r in t_small} <= {r.word for r in t_big}
+    thresholds = trap_thresholds(parts5[2], i_k_set(ctx5, parts5[0]))
+    t_small = trapped(thresholds, Fraction(3, 20))
+    t_big = trapped(thresholds, Fraction(1, 4))
+    assert set(t_small) <= set(t_big)
 
 
 def test_trapped_set_monotone_in_points(ctx5, parts5):
     points = i_k_set(ctx5, parts5[0])
     p2 = parts5[2]
-    cfg_small = TrapConfig(Fraction(1, 5), tuple(points[:3]), 2)
-    cfg_all = TrapConfig(Fraction(1, 5), tuple(points), 2)
-    assert {r.word for r in trapped_set(p2, cfg_small)} <= {
-        r.word for r in trapped_set(p2, cfg_all)
-    }
+    t = Fraction(1, 5)
+    small = trapped(trap_thresholds(p2, points[:3]), t)
+    assert set(small) <= set(trapped(trap_thresholds(p2, points), t))
 
 
 def test_trapped_empty_for_tiny_t(ctx5, parts5):
@@ -97,8 +93,7 @@ def test_trapped_empty_for_tiny_t(ctx5, parts5):
         floor = min(thresholds, key=float)
         assert floor > 0  # no cell straddles a norm-zero locus of a point
         t = floor.a / 2 if floor.is_rational() else Fraction(float(floor) / 2).limit_denominator(10**6)
-        cfg = TrapConfig(t, points, p.level)
-        assert trapped_set(p, cfg) == []
+        assert trapped(trap_thresholds(p, points), t) == []
 
 
 def test_everything_trapped_for_huge_t(ctx5, parts5):
@@ -106,8 +101,7 @@ def test_everything_trapped_for_huge_t(ctx5, parts5):
     p1 = parts5[1]
     hi = max((trap_threshold(r, points) for r in p1.rects), key=float)
     t = Fraction(int(float(hi)) + 2)
-    trapped = trapped_set(p1, TrapConfig(t, points, 1))
-    assert len(trapped) == len(p1.rects)
+    assert trapped(trap_thresholds(p1, points), t) == list(range(len(p1.rects)))
 
 
 def test_threshold_consistent_with_trapped_set(ctx5, parts5):
@@ -115,11 +109,8 @@ def test_threshold_consistent_with_trapped_set(ctx5, parts5):
     p2 = parts5[2]
     thresholds = [trap_threshold(r, points) for r in p2.rects]
     for t in (Fraction(3, 20), Fraction(1, 5), Fraction(1, 4)):
-        via_threshold = {
-            p2.rects[i].word for i, v in enumerate(thresholds) if v is not None and v < t
-        }
-        direct = {r.word for r in trapped_set(p2, TrapConfig(t, points, 2))}
-        assert via_threshold == direct
+        via_threshold = [i for i, v in enumerate(thresholds) if v < t]
+        assert trapped(trap_thresholds(p2, points), t) == via_threshold
 
 
 def test_dimension_bound_monotone_in_level(ctx5, parts5):
@@ -128,18 +119,13 @@ def test_dimension_bound_monotone_in_level(ctx5, parts5):
     prev = None
     for n in (1, 2, 3):
         dims = []
+        thresholds = trap_thresholds(parts5[n], points)
         for t in grid:
-            trapped = trapped_set(parts5[n], TrapConfig(t, points, n))
-            s = avoid(parts5[n], trapped)
+            s = avoid(parts5[n], trapped(thresholds, t))
             dims.append(dimension(entropy(s).value, ctx5))
         if prev is not None:
             assert all(b <= a + 1e-9 for a, b in zip(prev, dims))
         prev = dims
-
-
-def test_trap_config_validation():
-    with pytest.raises(ValueError):
-        TrapConfig(Fraction(0), (), 1)
 
 
 def _four_corner_sup(a, q):
@@ -206,14 +192,12 @@ def test_straddling_matches_brute_force(request, chain, t):
     points = i_k_set(parts[0].ctx, parts[0])
     p = parts[2]
     expected = [
-        r.word
-        for r, th in zip(p.rects, _flat_thresholds(p, points))
+        i
+        for i, (r, th) in enumerate(zip(p.rects, _flat_thresholds(p, points)))
         if th >= t
         and all(
             any(abs(cs - q.conj()) * abs(cu - q) < t for q in points)
             for cs, cu in r.corners()
         )
     ]
-    cfg = TrapConfig(t, tuple(points), 2)
-    got = straddling(p, cfg, trap_thresholds(p, points))
-    assert [r.word for r in got] == expected
+    assert straddling(p, points, t, trap_thresholds(p, points)) == expected
