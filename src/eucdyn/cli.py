@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import __version__, coding, sft, spectrum, trapping
 from .partition import MarkovError, Partition, generator, perturbed, refine, verify_markov
 from .qfield import make_context
-from .torus import PointXY, euclidean_min_qpoint, phi_su, torus_eq
+from .torus import PointXY, euclidean_min_qpoint, orbit, phi_su, torus_eq
 
 EXIT_CONFIG, EXIT_MATH, EXIT_IO = 2, 3, 4
 
@@ -239,10 +239,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     thresholds = trapping.trap_thresholds(part, points)
 
     def soundness():
+        # M and the symbols of the codings are constant along an orbit,
+        # so each orbit is checked once, at its first point in loop order
+        seen = set()
         for den in (1, 2, 3):
             for a in range(den):
                 for b in range(den):
                     p = PointXY(Fraction(a, den), Fraction(b, den))
+                    if p in seen:
+                        continue
+                    seen.update(orbit(ctx, p))
                     m = euclidean_min_qpoint(ctx, p)
                     if m == 0:
                         continue

@@ -136,23 +136,33 @@ def pi_eval(sp: SymbolicPoint, partition) -> PointSU:
     return PointSU(ctx.eps_conj * s, u)
 
 
+def _closed_cells(partition, su: PointSU) -> list[int]:
+    """Sorted indices of the closed cells that contain the plane point
+    modulo the lattice.  A refined partition tests only the cells inside
+    its parent's hits: a child is a closed subset of its parent, so the
+    translate that puts the point in the child puts it in the parent."""
+    if partition.parent is None:
+        pool = range(len(partition.rects))
+    else:
+        kids = partition.by_parent
+        pool = sorted(i for j in _closed_cells(partition.parent, su) for i in kids[j])
+    ctx, rects = partition.ctx, partition.rects
+    return [i for i in pool if point_translates(ctx, su.s, su.u, rects[i])]
+
+
 def code_qpoint(partition, p: PointXY) -> list[SymbolicPoint]:
     """All periodic itineraries of a rational point through the partition.
 
     Interior orbits give exactly one; orbits touching cell boundaries are
     flagged by returning every compatible coding (membership taken in the
-    closed cells, each candidate confirmed by exact evaluation).
+    closed cells, found level by level down the refinement chain, each
+    candidate confirmed by exact evaluation).
     """
     ctx = partition.ctx
     orb_xy = orbit(ctx, p)
     candidates = []
     for pt in orb_xy:
-        su = xy_to_su(ctx, pt)
-        cands = [
-            i
-            for i, r in enumerate(partition.rects)
-            if point_translates(ctx, su.s, su.u, r)
-        ]
+        cands = _closed_cells(partition, xy_to_su(ctx, pt))
         if not cands:
             raise AssertionError(f"point {pt} not covered by closed cells")
         candidates.append(cands)

@@ -107,6 +107,16 @@ class Partition:
         n = len(succ)
         return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
+    @cached_property
+    def by_parent(self) -> list[list[int]]:
+        """For each cell of ``parent``, the sorted indices of this
+        partition's cells inside it (word w lies in parent word w[1:-1]);
+        built once, on first use."""
+        out = [[] for _ in self.parent.rects]
+        for i, r in enumerate(self.rects):
+            out[self.parent.word_index[r.word[1:-1]]].append(i)
+        return out
+
     def _build_transitions(self):
         n = len(self.rects)
         if self.level == 0:

@@ -62,7 +62,7 @@ def dim_curve(
     thresholds = trap_thresholds(partition, points)
 
     def sample(t: Fraction) -> SpectrumSample:
-        banned = trapped(thresholds, t)
+        banned = trapped(thresholds, ctx.elem(t))  # convert t once, not per cell
         shift = sft.avoid(partition, banned)
         ent = sft.entropy(shift)
         dim = sft.dimension(ent.value, ctx)

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from eucdyn import cli
 from eucdyn.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -14,6 +16,9 @@ from eucdyn.cli import (
     parse_grid,
     parse_rational,
 )
+from eucdyn.coding import code_qpoint
+from eucdyn.partition import Partition
+from eucdyn.torus import PointXY
 
 
 def test_parse_rational():
@@ -120,6 +125,35 @@ def test_verify_passes(capsys):
 def test_verify_d13(capsys):
     assert main(["verify", "--D", "13", "--n", "1"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("D", [2, 3, 13])
+def test_verify_lines_match_reference(capsys, D):
+    # the reference check lines, ms field stripped, were written before
+    # soundness was checked once per orbit and cells were found down the
+    # refinement chain; neither may change a line
+    assert main(["verify", "--D", str(D), "--n", "2"]) == 0
+    got = [
+        re.sub(r" +\d+\.\d ms  ", "  ", line).rstrip()
+        for line in capsys.readouterr().out.splitlines()
+    ]
+    ref = (Path(__file__).parent / "data" / f"verify_D{D}_n2.txt").read_text()
+    assert got == ref.splitlines()
+
+
+def test_verify_soundness_checks_every_orbit(capsys, monkeypatch, parts2):
+    # negative control: ban exactly the cells coding the one nonzero
+    # denominator-3 orbit of D=2, found on a parentless copy that tests
+    # every cell; the orbit is the last one the check visits
+    part = parts2[2]
+    flat = Partition(part.ctx, 2, part.rects, base=part.base)
+    p = PointXY(Fraction(0), Fraction(1, 3))
+    banned = sorted({s for sp in code_qpoint(flat, p) for s in sp.right_loop})
+    monkeypatch.setattr(cli.trapping, "trapped", lambda thresholds, t: banned)
+    assert main(["verify", "--D", "2", "--n", "2"]) == EXIT_MATH
+    out = capsys.readouterr().out
+    assert "FAIL  trapping soundness" in out
+    assert f"trapped word in coding of {p}" in out
 
 
 def test_verify_perturbed_fails(capsys):

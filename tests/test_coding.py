@@ -5,8 +5,9 @@ import pytest
 
 from eucdyn.coding import SymbolicPoint, code_qpoint, pi_eval
 from eucdyn.geometry import Rect, phi_inv_rect, torus_components
+from eucdyn.partition import Partition
 from eucdyn.sft import random_itinerary
-from eucdyn.torus import PointXY, phi_su, su_to_xy, torus_eq, xy_to_su
+from eucdyn.torus import PointXY, orbit, phi_su, su_to_xy, torus_eq, xy_to_su
 
 
 def phi_rect(ctx, r):
@@ -158,6 +159,26 @@ def test_code_round_trip_small_denominators(parts5, ctx5, level):
                 target = xy_to_su(ctx5, p)
                 for sp in code_qpoint(part, p):
                     assert torus_eq(ctx5, pi_eval(sp, part), target)
+
+
+@pytest.mark.parametrize("fixture", ["parts2", "parts3", "parts5", "parts13"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_code_qpoint_chain_matches_every_cell_search(fixture, level, request):
+    # oracle: a parentless copy of the partition tests every cell, while
+    # the refined partition searches only inside its parent's candidates
+    part = request.getfixturevalue(fixture)[level]
+    ctx = part.ctx
+    flat = Partition(ctx, level, part.rects, base=part.base)
+    assert flat.parent is None
+    seen = set()
+    for den in (1, 2, 3, 4):
+        for a in range(den):
+            for b in range(den):
+                p = PointXY(Fraction(a, den), Fraction(b, den))
+                if p in seen:
+                    continue
+                seen.update(orbit(ctx, p))
+                assert code_qpoint(part, p) == code_qpoint(flat, p), p
 
 
 def test_pi_eval_values_are_exact_field_elements(parts5):
