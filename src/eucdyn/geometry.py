@@ -1,7 +1,7 @@
 """Exact axis-parallel rectangle geometry in the stable/unstable plane.
 
-Intervals and rectangles carry field-element endpoints, so emptiness,
-containment and tiling questions are decided exactly.  The lattice is
+Intervals and rectangles carry field-element endpoints, so emptiness
+and containment questions are decided exactly.  The lattice is
 the ring of integers embedded as q -> (conj(q), q); all torus operations
 reduce to enumerating the finitely many lattice translates that can meet
 a bounded region, which needs only exact floors of field elements.
@@ -121,33 +121,3 @@ def point_translates(ctx: FieldContext, s: QElem, u: QElem, rect: Rect):
     s_box = Iv(s - rect.s.hi, s - rect.s.lo)
     u_box = Iv(u - rect.u.hi, u - rect.u.lo)
     return [ctx.from_xy(m, n) for m, n in lattice_in_box(ctx, s_box, u_box, open_box=False)]
-
-
-def covers_exactly(region: Rect, pieces: list[Rect]) -> bool:
-    """True iff the closed pieces cover the closed region, decided exactly.
-
-    Sweep over the s-axis: between consecutive breakpoints the active
-    pieces' u-intervals must cover the region's u-interval.
-    """
-    breaks = {region.s.lo, region.s.hi}
-    for p in pieces:
-        for e in (p.s.lo, p.s.hi):
-            if region.s.lo < e < region.s.hi:
-                breaks.add(e)
-    bs = sorted(breaks)
-    for left, right in zip(bs, bs[1:]):
-        active = [
-            p for p in pieces if p.s.lo <= left and right <= p.s.hi
-        ]
-        active.sort(key=lambda p: p.u.lo)
-        reach = region.u.lo
-        for p in active:
-            if p.u.lo > reach:
-                return False
-            if p.u.hi > reach:
-                reach = p.u.hi
-            if reach >= region.u.hi:
-                break
-        if reach < region.u.hi:
-            return False
-    return True

@@ -10,9 +10,12 @@ whose closed areas sum to the lattice covolume for every D.  For D = 5
 the pair itself generates; otherwise the generator consists of the
 connected components of A meet phi^{-1}(B) over seed pairs (A, B).  In
 either case nothing is trusted: ``verify_markov`` re-derives every
-transition geometrically and checks, with exact interval arithmetic,
-that images stretch fully across target cells in the expanding direction
-and stay inside them in the contracting one.
+level-0 transition geometrically and checks, with exact interval
+arithmetic, that images stretch fully across target cells in the
+expanding direction and stay inside them in the contracting one.  A
+refined level is checked edge by edge from the level-0 translates: each
+cell must lie in the level-0 cell of its central symbol, and each
+transition is four endpoint comparisons at its central pair's translate.
 
 Each admissible pair (a, b) has one lattice point q_ab: the single
 component of A_a meet phi^{-1}(A_b) is (phi^{-1}(A_b) - (conj q_ab, q_ab))
@@ -36,7 +39,7 @@ from itertools import chain
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .geometry import Iv, Rect, covers_exactly, phi_inv_rect, torus_components
+from .geometry import Iv, Rect, phi_inv_rect, torus_components
 from .qfield import FieldContext, QElem
 
 
@@ -154,16 +157,8 @@ class Partition:
                 self.ctx, phi_inv_rect(self.ctx, self.rects[j]), self.rects[i]
             )
             if len(pieces) != 1:
-                raise MarkovError(
-                    MarkovReport(
-                        False,
-                        (
-                            self.rects[i].word,
-                            self.rects[j].word,
-                            f"{len(pieces)} components, expected 1",
-                        ),
-                    )
-                )
+                words = self.rects[i].word, self.rects[j].word
+                raise MarkovError(_fail(*words, f"{len(pieces)} components, expected 1"))
             self._translates[key] = pieces[0][0]
         return self._translates[key]
 
@@ -284,100 +279,120 @@ def refine(p: Partition) -> Partition:
     return Partition(ctx, level, rects, base=base, parent=p)
 
 
-def verify_markov(p: Partition, disjointness: str = "auto") -> MarkovReport:
+def verify_markov(p: Partition) -> MarkovReport:
     """Exact Markov verification.
 
-    For every admissible pair (A, B) the torus intersection
+    Cells must be nondegenerate and their areas must sum to the
+    covolume.  For every admissible pair (A, B) the torus intersection
     A meet phi^{-1}(B) must be a single rectangle that spans the full
     stable extent of A and whose unstable footprint is the full image of
     B (images stretch fully across in the expanding direction, stay
-    inside in the contracting one).  Cells must be pairwise disjoint as
-    open torus sets and their areas must sum to the covolume.
+    inside in the contracting one).
 
-    ``disjointness``: "full" checks all pairs geometrically, "structural"
-    skips the quadratic scan for refined levels (distinct words lie in
-    disjoint pullbacks of level-0 cells once level 0 has been checked),
-    "auto" picks "full" for small alphabets.
+    Level 0 is checked geometrically in full (``_verify_geometric``):
+    every pair of cells is intersected over all lattice translates, so
+    the cells are disjoint open torus sets, inadmissible pairs do not
+    meet, and each admissible pair (a, b) meets in exactly one
+    component, at the translate q_ab of ``transition_translate``.
+
+    A refined level n rests on that, with no lattice enumeration.  Each
+    cell with word w must lie, as a closed plane rectangle, in the
+    level-0 cell of its central symbol w[n]; this is checked once per
+    cell.  For an edge A -> B the central pair is (w[n], w[n+1]), so
+    A meet (phi^{-1}(B) - (conj q, q)) lies in
+    A_{w[n]} meet (phi^{-1}(A_{w[n+1]}) - (conj q, q)), which is empty for
+    every lattice point q but q_{w[n] w[n+1]}.  The one component is the
+    one at that translate, and the edge costs four exact endpoint
+    comparisons: A.s inside phi^{-1}(B).s - conj q, and phi^{-1}(B).u - q
+    inside A.u.  Disjointness and the emptiness of inadmissible pairs
+    rest on level 0 too: ``refine`` builds the cell with word w inside
+    the pullbacks phi^{-k}(A_{w[n+k]}) of the level-0 cells of its
+    symbols, so two distinct words, or a pair of words that do not
+    overlap by one shift, lie in pullbacks of two distinct level-0
+    cells, which level 0 has shown to be disjoint.
     """
-    ctx = p.ctx
+    if p.level == 0:
+        return _verify_geometric(p)
+    report = _verify_cells(p)
+    if not report.ok:
+        return report
+    ctx, base, n = p.ctx, p.base, p.level
     for r in p.rects:
-        if not (r.s.lo < r.s.hi and r.u.lo < r.u.hi):
-            return MarkovReport(False, (r.word, r.word, "degenerate rectangle"))
-
-    if p.total_area() != ctx.covolume:
-        return MarkovReport(
-            False, (None, None, f"area sum {p.total_area()} != covolume {ctx.covolume}")
-        )
-
-    do_full = disjointness == "full" or (
-        disjointness == "auto" and (p.level == 0 or len(p.rects) <= 64)
-    )
-    if do_full:
-        for i, a in enumerate(p.rects):
-            for j in range(i, len(p.rects)):
-                b = p.rects[j]
-                for q, piece in torus_components(ctx, a, b):
-                    if i == j and q == ctx.elem(0):
-                        continue  # the rectangle itself
-                    return MarkovReport(
-                        False,
-                        (a.word, b.word, f"open overlap at translate {q!r}"),
-                    )
-
-    # For large refined alphabets only admissible pairs are checked
-    # geometrically: a non-overlapping word pair meets phi^{-1} of the
-    # other inside pullbacks of two distinct level-0 cells, so emptiness
-    # follows from the level-0 disjointness established above.
-    if do_full:
-        pair_iter = (
-            (i, j) for i in range(len(p.rects)) for j in range(len(p.rects))
-        )
-    else:
-        pair_iter = ((i, j) for i in range(len(p.rects)) for j in p.successors(i))
-    for i, j in pair_iter:
-        a, b = p.rects[i], p.rects[j]
-        adm = p.admissible(i, j)
-        pieces = torus_components(ctx, phi_inv_rect(ctx, b), a)
-        if not adm:
-            if pieces:
-                return MarkovReport(
-                    False,
-                    (a.word, b.word, "inadmissible pair has nonempty intersection"),
-                )
-            continue
-        if len(pieces) != 1:
-            return MarkovReport(
-                False, (a.word, b.word, f"{len(pieces)} components, expected 1")
-            )
-        q, piece = pieces[0]
-        if piece.s != a.s:
-            return MarkovReport(
-                False,
-                (a.word, b.word, "intersection does not span the stable extent"),
-            )
-        expected_u = phi_inv_rect(ctx, b).u.shift(-q)
-        if piece.u != expected_u:
-            return MarkovReport(
-                False,
-                (a.word, b.word, "image clipped in the expanding direction"),
-            )
+        c = base.rects[r.word[n]]
+        if not (c.s.lo <= r.s.lo and r.s.hi <= c.s.hi and c.u.lo <= r.u.lo and r.u.hi <= c.u.hi):
+            return _fail(r.word, c.word, "cell outside its level-0 cell")
+    # phi^{-1}(B) - (conj q, q) per cell B, with q the translate of B's
+    # (w[n-1], w[n]), the central pair of every predecessor of B.  Cells
+    # with a common past or future share one interval object, so each
+    # image side is computed once per interval object and pair.
+    s_of, u_of, s_img, u_img = {}, {}, [], []
+    for b in p.rects:
+        pair = b.word[n - 1], b.word[n]
+        q = base.transition_translate(*pair)
+        if (id(b.s), pair) not in s_of:
+            s_of[id(b.s), pair] = b.s.scale(ctx.eps * ctx.nm_eps).shift(-q.conj())
+        if (id(b.u), pair) not in u_of:
+            u_of[id(b.u), pair] = b.u.scale(ctx.eps_inv).shift(-q)
+        s_img.append(s_of[id(b.s), pair])
+        u_img.append(u_of[id(b.u), pair])
+    for i, a in enumerate(p.rects):
+        for j in p.successors(i):
+            s, u = s_img[j], u_img[j]
+            if not (s.lo <= a.s.lo and a.s.hi <= s.hi):
+                return _fail(a.word, p.rects[j].word, _NOT_SPANNED)
+            if not (a.u.lo <= u.lo and u.hi <= a.u.hi):
+                return _fail(a.word, p.rects[j].word, _CLIPPED)
     return MarkovReport(True)
 
 
-def tiles_plane(ctx: FieldContext, rects: list[Rect], span: int = 1) -> bool:
-    """Exact check that lattice translates of the closed cells cover the
-    block of translates around the origin (a (2*span+1)^2 block)."""
-    zero = ctx.elem(0)
-    s_all = Iv(min((r.s.lo for r in rects), default=zero), max((r.s.hi for r in rects), default=zero))
-    u_all = Iv(min((r.u.lo for r in rects), default=zero), max((r.u.hi for r in rects), default=zero))
-    region = Rect(s_all, u_all)
-    pieces = []
-    for m in range(-3 * span, 3 * span + 1):
-        for n in range(-3 * span, 3 * span + 1):
-            q = ctx.from_xy(m, n)
-            for r in rects:
-                pieces.append(r.translate(q))
-    return covers_exactly(region, pieces)
+_NOT_SPANNED = "intersection does not span the stable extent"
+_CLIPPED = "image clipped in the expanding direction"
+
+
+def _fail(a, b, reason) -> MarkovReport:
+    return MarkovReport(False, (a, b, reason))
+
+
+def _verify_cells(p: Partition) -> MarkovReport:
+    """Every cell nondegenerate; the areas sum to the covolume."""
+    for r in p.rects:
+        if not (r.s.lo < r.s.hi and r.u.lo < r.u.hi):
+            return _fail(r.word, r.word, "degenerate rectangle")
+    if p.total_area() != p.ctx.covolume:
+        return _fail(None, None, f"area sum {p.total_area()} != covolume {p.ctx.covolume}")
+    return MarkovReport(True)
+
+
+def _verify_geometric(p: Partition) -> MarkovReport:
+    """The full geometric check, quadratic in the cells: every pair must
+    be disjoint as open torus sets, every inadmissible pair must miss
+    phi^{-1} of the other, and every admissible pair must meet it in one
+    component with the Markov property.  ``verify_markov`` runs it at
+    level 0; on refined levels it is the oracle of the tests."""
+    report = _verify_cells(p)
+    if not report.ok:
+        return report
+    ctx = p.ctx
+    for i, a in enumerate(p.rects):
+        for j in range(i, len(p.rects)):
+            b = p.rects[j]
+            for q, _ in torus_components(ctx, a, b):
+                if not (i == j and q == ctx.elem(0)):  # the rectangle itself
+                    return _fail(a.word, b.word, f"open overlap at translate {q!r}")
+    images = [phi_inv_rect(ctx, b) for b in p.rects]
+    for i, a in enumerate(p.rects):
+        for j, b in enumerate(images):
+            pieces = torus_components(ctx, b, a)
+            if not p.admissible(i, j):
+                if pieces:
+                    return _fail(a.word, b.word, "inadmissible pair has nonempty intersection")
+            elif len(pieces) != 1:
+                return _fail(a.word, b.word, f"{len(pieces)} components, expected 1")
+            elif pieces[0][1].s != a.s:
+                return _fail(a.word, b.word, _NOT_SPANNED)
+            elif pieces[0][1].u != b.u.shift(-pieces[0][0]):
+                return _fail(a.word, b.word, _CLIPPED)
+    return MarkovReport(True)
 
 
 def perturbed(p: Partition, index: int = 0, amount=Fraction(1, 100)) -> Partition:

@@ -127,11 +127,12 @@ def test_verify_d13(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("D", [2, 3, 13])
+@pytest.mark.parametrize("D", [2, 3, 5, 13])
 def test_verify_lines_match_reference(capsys, D):
     # the reference check lines, ms field stripped, were written before
-    # soundness was checked once per orbit and cells were found down the
-    # refinement chain; neither may change a line
+    # soundness was checked once per orbit, cells were found down the
+    # refinement chain and refined levels were checked edge by edge; none
+    # may change a line
     assert main(["verify", "--D", str(D), "--n", "2"]) == 0
     got = [
         re.sub(r" +\d+\.\d ms  ", "  ", line).rstrip()

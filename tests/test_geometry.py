@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from eucdyn.geometry import Iv, Rect, covers_exactly, lattice_in_box, torus_components
+from eucdyn.geometry import Iv, Rect, lattice_in_box, torus_components
+from plane_oracles import covers_exactly
 
 
 def _rect(ctx, s_lo, s_hi, u_lo, u_hi):

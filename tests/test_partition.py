@@ -7,14 +7,16 @@ import pytest
 from eucdyn.geometry import Iv, Rect, phi_inv_rect, torus_components
 from eucdyn.partition import (
     MarkovError,
+    Partition,
+    _verify_geometric,
     base_rectangles,
     generator,
     perturbed,
     refine,
-    tiles_plane,
     verify_markov,
 )
 from eucdyn.qfield import make_context
+from plane_oracles import tiles_plane
 
 
 def test_base_anchor_points(ctx5):
@@ -146,7 +148,8 @@ def test_admissibility_coherence(parts5):
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_verify_markov_d5(parts5, level):
-    assert verify_markov(parts5[level], disjointness="full").ok
+    assert verify_markov(parts5[level]).ok
+    assert _verify_geometric(parts5[level]).ok
 
 
 def test_total_area_every_level(parts5, ctx5):
@@ -176,17 +179,19 @@ def test_generator_raises_on_unverifiable(ctx5):
 
 @pytest.mark.parametrize("fixture, level, cells", [("parts5", 4, 89), ("parts2", 2, 169)])
 def test_verify_markov_modes_agree(fixture, level, cells, request):
+    # the edge-by-edge check of a refined level and the quadratic
+    # geometric check (the oracle) accept the partition and reject
+    # every perturbed fixture
     parts = request.getfixturevalue(fixture)
     p = parts[-1]
     while p.level < level:
         p = refine(p)
     assert len(p.rects) == cells
-    for mode in ("structural", "full"):
-        assert verify_markov(p, disjointness=mode).ok, mode
+    assert verify_markov(p).ok and _verify_geometric(p).ok
     for index in (0, len(p.rects) // 2, len(p.rects) - 1):
         bad = perturbed(p, index=index)
-        for mode in ("structural", "full"):
-            assert not verify_markov(bad, disjointness=mode).ok, (mode, index)
+        assert not verify_markov(bad).ok, index
+        assert not _verify_geometric(bad).ok, index
 
 
 @pytest.mark.parametrize("fixture", ["parts2", "parts3", "parts13"])
@@ -194,7 +199,55 @@ def test_verify_markov_other_fields(fixture, request):
     parts = request.getfixturevalue(fixture)
     for p in parts:
         assert verify_markov(p).ok
+        assert _verify_geometric(p).ok, p.level
         assert p.total_area() == p.ctx.covolume
+
+
+def _shifted(p, index, ds=0, du=0):
+    """A copy of a refined partition with one cell moved by (ds, du)."""
+    rects = list(p.rects)
+    r = rects[index]
+    rects[index] = Rect(r.s.shift(ds), r.u.shift(du), r.word)
+    return Partition(p.ctx, p.level, rects, base=p.base, parent=p.parent)
+
+
+def test_verify_markov_rejects_every_perturbed_cell(parts2):
+    # every cell of D=2 level 2, moved 1/100 along either axis, must fail
+    # with a named pair; interior cells are caught only by the edge
+    # comparisons on their own axis
+    p = parts2[2]
+    d = p.ctx.elem(Fraction(1, 100))
+    reasons = set()
+    for index in range(len(p.rects)):
+        for shift in ({"ds": d}, {"du": d}):
+            report = verify_markov(_shifted(p, index, **shift))
+            assert not report.ok, (index, shift)
+            a, b, reason = report.counterexample
+            assert a is not None and b is not None and reason, (index, shift)
+            reasons.add(reason)
+    assert reasons == {
+        "cell outside its level-0 cell",
+        "intersection does not span the stable extent",
+        "image clipped in the expanding direction",
+    }
+
+
+@pytest.mark.parametrize("fixture", ["parts2", "parts5"])
+def test_verify_markov_rejects_cell_outside_its_level_0_cell(fixture, request):
+    # a cell moved by a lattice point is the same torus set, so the
+    # geometric oracle still accepts it; the edge check reads plane
+    # endpoints against the level-0 cell and must name the cell
+    p = request.getfixturevalue(fixture)[2]
+    index = len(p.rects) // 2
+    moved = _shifted(p, index, ds=-p.ctx.elem(1), du=-p.ctx.elem(1))
+    assert _verify_geometric(moved).ok
+    report = verify_markov(moved)
+    assert not report.ok
+    assert report.counterexample == (
+        p.rects[index].word,
+        p.base.rects[p.rects[index].word[2]].word,
+        "cell outside its level-0 cell",
+    )
 
 
 def test_d13_alpha_branch(ctx13):
